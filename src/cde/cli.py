@@ -156,13 +156,19 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
 
 
 def _workers_from_env() -> int:
+    """CDE_THREADS clamped to [1, usable cores]; unset means 1."""
     raw = os.environ.get("CDE_THREADS", "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         raise ConfigurationError(f"CDE_THREADS must be an integer, got {raw!r}") from None
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(requested, cores))
 
 
 def _read_symbols(path: str, k: int) -> list[int]:

@@ -51,14 +51,16 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 def validate_distribution(probs) -> np.ndarray:
-    """Return probs as a float64 vector, checking nonnegativity and unit sum."""
+    """Return probs as a float64 vector, checking finiteness, nonnegativity and unit sum."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise InvalidParameterError("a distribution must be a nonempty 1-d vector")
     if np.any(p < 0.0):
         raise InvalidParameterError("distribution entries must be nonnegative")
     total = float(p.sum())
-    if abs(total - 1.0) > SUM_TOLERANCE:
+    # Written so that a NaN or infinite entry, which makes the sum NaN or
+    # infinite, fails it too.
+    if not abs(total - 1.0) <= SUM_TOLERANCE:
         raise InvalidParameterError(f"distribution sums to {total!r}, not 1")
     return p
 
@@ -142,6 +144,23 @@ def draw_sample(p, n: int, rng) -> Sample:
     # leaves cumsum(p)[-1] slightly below 1.
     idx = np.searchsorted(cdf[:-1], u, side="right")
     return Sample(idx.astype(np.int64) + 1, p.size)
+
+
+def draw_counts(cdf: np.ndarray, n: int, rng) -> np.ndarray:
+    """Per-symbol counts of n i.i.d. draws, where cdf is cumsum(p) of a
+    validated distribution p.
+
+    Consumes the stream exactly as draw_sample does and returns exactly the
+    counts of its sample: a symbol's count is the number of uniforms between
+    its two cdf edges, so sorting the uniforms once lets k binary searches
+    replace n of them.
+    """
+    if n < 0:
+        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    u = _as_generator(rng).random(n)
+    u.sort()
+    edges = np.searchsorted(u, cdf[:-1], side="left")
+    return np.diff(edges, prepend=0, append=n)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import validate_distribution
 from .divergence import entropy, kl
-from .errors import CapacityError
+from .errors import CapacityError, InvalidParameterError
 from .estimators import apply_estimator
 from .profile import profile_from_counts
 
@@ -36,8 +36,13 @@ class ExactResult:
 
 
 def _check_cap(k: int, n: int, cap: int) -> None:
-    if k**n > cap:
-        raise CapacityError(f"enumeration of {k}**{n} sequences exceeds cap {cap}")
+    if n < 0:
+        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    # k = 1 is charged as 2 so that n stays bounded; and since 2**n > cap
+    # once n reaches cap's bit length, that test spares the bignum power.
+    base = max(k, 2)
+    if n >= cap.bit_length() or base**n > cap:
+        raise CapacityError(f"enumeration of {base}**{n} sequences exceeds cap {cap}")
 
 
 def _compositions(n: int, parts: int):

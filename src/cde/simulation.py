@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import (
     DistributionSpec,
     RngSeed,
-    draw_sample,
+    draw_counts,
     make_generator,
     parse_distribution,
     validate_distribution,
@@ -26,7 +26,7 @@ from .distributions import (
 from .divergence import kl
 from .errors import ConfigurationError
 from .estimators import EstimatorSpec, apply_estimator, parse_estimator
-from .profile import build_profile
+from .profile import profile_from_counts
 
 # Stream reserved for the single prior draw when redraw_prior_per_trial is
 # off; trial streams use indices 0..trials-1.
@@ -162,32 +162,41 @@ def _simulate_cell(
     master_seed: int,
     workers: int,
 ) -> np.ndarray:
-    """Per-trial losses as a (trials, len(estimators)) array, in trial order."""
+    """Per-trial losses as a (trials, len(estimators)) array, in trial order.
+
+    Trials work on count vectors: estimators and losses depend on a sample
+    only through its counts, so no sample of n symbols is materialized and
+    a profile is built only for a count vector the memo has not seen.
+    """
     memo: dict[bytes, np.ndarray] | None = None
-    if (
-        fixed_p is not None
-        and k <= 64
-        and n <= 64  # keeps the binomial below bignum territory
-        and math.comb(n + k - 1, k - 1) <= _MEMO_MAX_COUNT_VECTORS
-    ):
-        memo = {}
+    if fixed_p is not None:
+        fixed_p = validate_distribution(fixed_p)
+        fixed_cdf = np.cumsum(fixed_p)
+        if (
+            k <= 64
+            and 0 <= n <= 64  # math.comb needs n >= 0; n <= 64 keeps it below bignum territory
+            and math.comb(n + k - 1, k - 1) <= _MEMO_MAX_COUNT_VECTORS
+        ):
+            memo = {}
 
     def one_trial(index: int) -> np.ndarray:
         rng = make_generator(RngSeed(master_seed, index))
-        p = fixed_p if fixed_p is not None else spec.realize(k, rng)
-        sample = draw_sample(p, n, rng)
-        profile = build_profile(sample)
-        if memo is not None:
-            key = profile.counts.tobytes()
-            row = memo.get(key)
-            if row is None:
-                row = _evaluate(estimators, profile, p)
-                memo[key] = row
-            return row
-        return _evaluate(estimators, profile, p)
+        if fixed_p is None:
+            p = validate_distribution(spec.realize(k, rng))
+            cdf = np.cumsum(p)
+        else:
+            p, cdf = fixed_p, fixed_cdf
+        counts = draw_counts(cdf, n, rng)
+        if memo is None:
+            return _evaluate(estimators, profile_from_counts(counts), p)
+        key = counts.tobytes()
+        row = memo.get(key)
+        if row is None:
+            row = memo[key] = _evaluate(estimators, profile_from_counts(counts), p)
+        return row
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, trials)) as pool:
             rows = list(pool.map(one_trial, range(trials)))
     else:
         rows = [one_trial(i) for i in range(trials)]

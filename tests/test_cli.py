@@ -1,10 +1,14 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 
 from cde import ConfigurationError, ExperimentConfig, run_experiment
-from cde.cli import CSV_HEADER, main, parse_n_grid, read_csv, _fmt12
+from cde.cli import CSV_HEADER, main, parse_n_grid, read_csv, _fmt12, _workers_from_env
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -298,6 +302,82 @@ def test_p_file_must_be_distribution(tmp_path, capsys):
         capsys,
     )
     assert code == 3 and "sums" in err
+
+
+def test_exact_non_finite_p_file_exit_3(tmp_path, capsys):
+    for name, text in (("nan", "nan\nnan\n"), ("half-nan", "0.5\nnan\n"), ("inf", "inf\n0\n")):
+        p_file = tmp_path / f"{name}.txt"
+        p_file.write_text(text)
+        code, out, err = run_cli(
+            ["exact", "--k", "2", "--n", "1", "--estimator", "laplace", "--p", str(p_file)],
+            capsys,
+        )
+        assert (code, out) == (3, ""), name
+        assert "sums to nan" in err or "sums to inf" in err
+
+
+def test_exact_negative_n_exit_3(capsys):
+    code, _, err = run_cli(
+        ["exact", "--k", "3", "--n", "-1", "--estimator", "laplace", "--dist", "uniform"],
+        capsys,
+    )
+    assert code == 3 and "n must be" in err
+
+
+def test_exact_single_symbol_huge_n_exit_4(capsys):
+    code, _, err = run_cli(
+        ["exact", "--k", "1", "--n", "100000000", "--estimator", "laplace", "--dist", "uniform"],
+        capsys,
+    )
+    assert code == 4 and "cap" in err
+
+
+def test_cde_threads_capped_at_usable_cores(monkeypatch):
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    monkeypatch.setenv("CDE_THREADS", "100000")
+    assert _workers_from_env() == cores
+    monkeypatch.setenv("CDE_THREADS", "1")
+    assert _workers_from_env() == 1
+    monkeypatch.setenv("CDE_THREADS", "-3")
+    assert _workers_from_env() == 1
+    monkeypatch.delenv("CDE_THREADS")
+    assert _workers_from_env() == 1
+
+
+def test_cde_threads_cap_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("CDE_THREADS", "100000")
+    assert _workers_from_env() == 3
+
+
+GOLDEN_COMMON = ["--trials", "300", "--seed", "2024", "--n-grid", "2,6,40,1500", "--k", "8"]
+GOLDEN_ESTIMATORS = "laplace,kt,braess-sauer,competitive,best-natural"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        # fixed sources and a per-trial prior; n = 2 and 6 are memo-sized, 40 and 1500 are not
+        ("simulate_small.csv", GOLDEN_COMMON + [
+            "--estimators", GOLDEN_ESTIMATORS, "--distributions", "uniform,zipf1,dir0.5",
+        ]),
+        ("simulate_small_fixed_prior.csv", GOLDEN_COMMON + [
+            "--estimators", GOLDEN_ESTIMATORS, "--distributions", "dir0.5", "--fixed-prior",
+        ]),
+        ("simulate_large_k.csv", [
+            "--k", "1000", "--n-grid", "50,5000", "--trials", "20", "--seed", "2024",
+            "--estimators", "laplace,competitive,best-natural", "--distributions", "zipf1.5,dir1",
+        ]),
+    ],
+)
+def test_simulate_matches_golden_csv(name, args, tmp_path, capsys, monkeypatch):
+    """The stored CSVs pin the Monte Carlo output byte for byte, so any change
+    to how trials consume their streams shows up here."""
+    monkeypatch.delenv("CDE_THREADS", raising=False)
+    out = tmp_path / name
+    assert run_cli(["simulate", *args, "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_cde_threads_env_does_not_change_output(tmp_path, capsys, monkeypatch):

@@ -8,12 +8,14 @@ from cde import (
     Sample,
     draw_sample,
     make_generator,
+    validate_distribution,
     parse_distribution,
     sample_dirichlet,
     step,
     uniform,
     zipf,
 )
+from cde.distributions import draw_counts
 
 VALIDITY_KS = [1, 2, 3, 10, 100, 10000]
 
@@ -140,6 +142,57 @@ def test_draw_sample_frequencies():
 def test_draw_sample_skips_zero_probability_symbols():
     sample = draw_sample([0.5, 0.0, 0.5], 20_000, RngSeed(17, 0))
     assert not np.any(sample.symbols == 2)
+
+
+def _sampler_cases():
+    """(p, n) pairs: hand-picked edge cases, then random ones with zeros."""
+    yield np.array([1.0]), 0
+    yield np.array([1.0]), 25
+    yield uniform(3), 0
+    yield np.array([0.0, 0.0, 0.25, 0.75]), 60  # leading zeros
+    yield np.array([0.25, 0.75, 0.0, 0.0]), 60  # trailing zeros
+    yield np.array([0.25, 0.0, 0.0, 0.75]), 60  # interior zeros
+    yield np.array([0.0, 1.0, 0.0]), 7
+    yield uniform(27), 500  # cumsum ends 6 ulps below 1
+    rng = np.random.default_rng(2718)
+    for _ in range(300):
+        k = int(rng.integers(1, 60))
+        p = rng.dirichlet(np.full(k, 0.3))
+        p[rng.random(k) < 0.2] = 0.0
+        if p.sum() == 0.0:
+            p[int(rng.integers(k))] = 1.0
+        yield p / p.sum(), int(rng.integers(0, 400))
+
+
+def test_draw_counts_equals_counts_of_draw_sample():
+    cases = list(_sampler_cases())
+    assert len(cases) >= 300
+    assert np.cumsum(uniform(27))[-1] == 1.0 - 6 * 2.0**-53
+    for i, (p, n) in enumerate(cases):
+        p = validate_distribution(p)
+        by_counts = make_generator(RngSeed(4242, i))
+        by_sample = make_generator(RngSeed(4242, i))
+        counts = draw_counts(np.cumsum(p), n, by_counts)
+        symbols = draw_sample(p, n, by_sample).symbols
+        expected = np.bincount(symbols, minlength=p.size + 1)[1:]
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected, err_msg=f"case {i}")
+        # both leave the stream at the same place
+        assert by_counts.random() == by_sample.random()
+
+
+def test_draw_counts_rejects_negative_n():
+    with pytest.raises(InvalidParameterError):
+        draw_counts(np.cumsum(uniform(3)), -1, RngSeed(1, 0))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 0.0], [0.5, 0.5, -np.inf], [np.nan] * 3],
+)
+def test_validate_distribution_rejects_non_finite(bad):
+    with pytest.raises(InvalidParameterError, match="nan|inf|nonnegative"):
+        validate_distribution(bad)
 
 
 def test_sample_validates_symbol_range():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import cde.oracle
 from cde import (
     CapacityError,
+    InvalidParameterError,
     exact_class_regret,
     exact_expected_kl,
     exact_natural_regret,
@@ -108,6 +110,30 @@ def test_capacity_cap():
         exact_natural_regret(uniform(10), 50)
     with pytest.raises(CapacityError):
         exact_expected_kl(uniform(2), "laplace", 3, cap=7)
+
+
+def test_capacity_cap_bounds_n_for_every_k(monkeypatch):
+    def never(k, n):
+        raise AssertionError(f"enumerated k={k}, n={n}")
+
+    monkeypatch.setattr(cde.oracle, "_count_vectors", never)
+    # k = 1 has a single count vector, yet n must stay bounded
+    with pytest.raises(CapacityError):
+        exact_expected_kl([1.0], "laplace", 10**8)
+    with pytest.raises(CapacityError):
+        exact_natural_regret([1.0], 10**8)
+    with pytest.raises(CapacityError):
+        exact_expected_kl(uniform(10), "laplace", 10**18)
+    with pytest.raises(InvalidParameterError):
+        exact_expected_kl(uniform(3), "laplace", -1)
+    with pytest.raises(InvalidParameterError):
+        exact_natural_regret([1.0], -1)
+
+
+def test_capacity_cap_admits_instances_near_it():
+    assert exact_expected_kl([1.0], "laplace", 23).expected_kl == 0.0
+    for k, n in ((6, 8), (5, 9), (4, 11), (3, 14)):
+        assert exact_expected_kl(uniform(k), "laplace", n).sequences_enumerated == k**n
 
 
 def test_best_natural_matches_natural_regret_spot():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import cde.simulation
 from cde import (
     ConfigurationError,
     ExperimentConfig,
+    InvalidParameterError,
     exact_expected_kl,
     monte_carlo_regret,
     run_experiment,
@@ -57,6 +59,31 @@ def test_monte_carlo_oracle_agreement_cells():
         exact = exact_expected_kl(p, name, n).expected_kl
         record = monte_carlo_regret(p, name, n, 20_000, 400 + case)
         assert abs(record.mean_kl - exact) <= max(4 * record.stderr, 1e-12)
+
+
+def test_memo_cell_builds_one_profile_per_count_vector(monkeypatch):
+    built = []
+    real = cde.simulation.profile_from_counts
+
+    def counting(counts):
+        built.append(counts.tobytes())
+        return real(counts)
+
+    monkeypatch.setattr(cde.simulation, "profile_from_counts", counting)
+    monte_carlo_regret([0.3, 0.7], "laplace", 3, 400, 5)
+    # two symbols and n = 3 leave four count vectors
+    assert len(built) == len(set(built)) <= 4
+
+
+def test_negative_n_is_invalid_parameter():
+    with pytest.raises(InvalidParameterError):
+        monte_carlo_regret([0.5, 0.5], "laplace", -5, 10, 1)
+    config = ExperimentConfig(
+        k=3, n_grid=(-1,), trials=5, master_seed=0,
+        distributions=("dir1",), estimators=("laplace",),
+    )
+    with pytest.raises(InvalidParameterError):
+        run_experiment(config)
 
 
 def test_run_experiment_shape_order_and_rerun():
