@@ -27,16 +27,11 @@ from .errors import (
 )
 from .estimators import (
     EstimatorSpec,
-    add_beta,
     apply_estimator,
-    best_natural,
     braess_sauer_beta,
-    competitive_gt,
-    empirical,
     kt_beta,
     laplace_beta,
     parse_estimator,
-    permutation_oracle,
 )
 from .oracle import (
     ExactResult,
@@ -76,18 +71,14 @@ __all__ = [
     "Sample",
     "SampleProfile",
     "UndefinedEstimateError",
-    "add_beta",
     "apply_estimator",
-    "best_natural",
     "braess_sauer_beta",
     "build_profile",
     "class_totals",
     "combined_kl",
     "combined_mass",
-    "competitive_gt",
     "cross_entropy",
     "draw_sample",
-    "empirical",
     "entropy",
     "exact_class_regret",
     "exact_expected_kl",
@@ -99,7 +90,6 @@ __all__ = [
     "monte_carlo_regret",
     "parse_distribution",
     "parse_estimator",
-    "permutation_oracle",
     "profile_from_counts",
     "run_experiment",
     "sample_dirichlet",

@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .distributions import Sample, parse_distribution, validate_distribution
+from .distributions import Sample, check_alphabet, parse_distribution, validate_distribution
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -115,6 +115,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    check_alphabet(args.k)
     spec = parse_estimator(args.estimator)
     symbols = _read_symbols(args.sample, args.k)
     sample = Sample(np.array(symbols, dtype=np.int64), args.k)
@@ -131,6 +132,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    check_alphabet(args.k)
     spec = parse_estimator(args.estimator)
     p = _resolve_true_p(args)
     result = exact_expected_kl(p, spec, args.n)

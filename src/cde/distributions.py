@@ -12,10 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import CapacityError, ConfigurationError, InvalidParameterError
 
 SUM_TOLERANCE = 1e-9
 _U64_MAX = 2**64 - 1
+# Largest alphabet an entry point accepts: one k-sized float64 vector is
+# then 80 MB, and a larger k must fail before anything of size k exists.
+MAX_ALPHABET = 10_000_000
+
+
+def check_alphabet(k: int) -> None:
+    if k > MAX_ALPHABET:
+        raise CapacityError(f"alphabet size k={k} exceeds cap {MAX_ALPHABET}")
 
 
 @dataclass(frozen=True)

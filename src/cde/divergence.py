@@ -42,9 +42,11 @@ def cross_entropy(p, q) -> float:
         raise InvalidParameterError(f"length mismatch: {p.shape} vs {q.shape}")
     support = p > 0.0
     qs = q[support]
-    if np.any(qs == 0.0):
+    # array methods skip np.any/np.sum's dispatch, which dominates on the
+    # few count classes of the per-sample loss
+    if (qs == 0.0).any():
         return math.inf
-    return float(-np.sum(p[support] * np.log(qs)))
+    return float(-(p[support] * np.log(qs)).sum())
 
 
 def entropy(p) -> float:
@@ -52,6 +54,17 @@ def entropy(p) -> float:
     p = np.asarray(p, dtype=np.float64)
     ps = p[p > 0.0]
     return float(-np.sum(ps * np.log(ps)))
+
+
+def natural_kl(s, q, h: float) -> float:
+    """KL(p, q) of a natural estimate, from its count classes alone.
+
+    s holds the true class masses S_t = class_totals(p, profile), q the
+    estimate's per-class values and h = entropy(p), so the loss is
+    sum_t S_t ln(1/q_t) - H(p): +inf when some q_t is 0 while S_t is not,
+    and floored at 0 like kl().
+    """
+    return max(cross_entropy(s, q) - h, 0.0)
 
 
 def combined_kl(s, s_hat) -> float:
@@ -63,18 +76,11 @@ def combined_kl(s, s_hat) -> float:
     """
     sv, st = _mass_values(s)
     hv, ht = _mass_values(s_hat)
-    if sv.shape != hv.shape:
-        raise InvalidParameterError(f"length mismatch: {sv.shape} vs {hv.shape}")
     if st is not None and ht is not None and not np.array_equal(st, ht):
         raise InvalidParameterError("count-class index sets differ")
     if np.any(hv < 0.0):
         raise InvalidParameterError("estimated class masses must be nonnegative")
-    support = sv > 0.0
-    ss = sv[support]
-    hs = hv[support]
-    if np.any(hs == 0.0):
-        return math.inf
-    return max(float(np.sum(ss * np.log(ss / hs))), 0.0)
+    return kl(sv, hv)
 
 
 def _mass_values(m):

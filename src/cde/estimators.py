@@ -7,7 +7,8 @@ true distribution: the best natural estimator and a permutation-averaged
 estimator for tiny alphabets.
 
 All of them are natural: symbols with equal sample counts get equal
-probability, so each estimator reduces to one value per count class.
+probability, so each estimator is one value per count class, aligned with
+profile.ts. apply_estimator spreads those values over the k symbols.
 """
 
 from __future__ import annotations
@@ -18,19 +19,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Sample, validate_distribution
+from .distributions import validate_distribution
 from .errors import (
     CapacityError,
     ConfigurationError,
     InvalidParameterError,
     UndefinedEstimateError,
 )
-from .profile import SampleProfile
+from .profile import SampleProfile, class_totals
 
 PERMUTATION_ORACLE_MAX_K = 6
-
-KINDS = ("empirical", "add-beta", "competitive-gt", "best-natural", "permutation-oracle")
-_ORACLE_KINDS = frozenset({"best-natural", "permutation-oracle"})
 
 
 def laplace_beta(t: int) -> float:
@@ -49,16 +47,105 @@ def braess_sauer_beta(t: int) -> float:
     return 0.75
 
 
+def _empirical(spec, profile: SampleProfile, p) -> np.ndarray:
+    """Relative frequencies t/n; unseen symbols get exactly zero."""
+    if profile.n == 0:
+        raise UndefinedEstimateError("empirical estimate undefined for an empty sample")
+    return profile.ts / profile.n
+
+
+def _add_beta(spec, profile: SampleProfile, p) -> np.ndarray:
+    """Smoothed counts (t + beta(t)) / N, N normalizing over all k symbols."""
+    betas = np.array([float(spec.beta_fn(t)) for t in profile.ts.tolist()])
+    if (betas <= 0.0).any() or float(spec.beta_fn(0)) <= 0.0:
+        raise InvalidParameterError("beta(t) must be positive for every count value")
+    norm = profile.n + float((profile.phi * betas).sum())
+    return (profile.ts + betas) / norm
+
+
+def _competitive_gt(spec, profile: SampleProfile, p) -> np.ndarray:
+    """Per-count-class switch between the empirical and Good-Turing estimates.
+
+    A count-t symbol keeps its raw count t when t exceeds the prevalence of
+    count t+1 (the Good-Turing correction would be noisier than the count
+    itself); otherwise it gets the Good-Turing mass max(phi[t+1], 1) / phi[t]
+    * (t+1). Unseen symbols are always on the Good-Turing side. Everything is
+    normalized at the end.
+    """
+    if profile.n == 0:
+        raise UndefinedEstimateError("competitive estimate undefined for an empty sample")
+    ts = profile.ts
+    phi = profile.phi.astype(np.float64)
+    # prevalence of count t+1 for each realized t (0 when that count is absent)
+    pos = np.minimum(np.searchsorted(ts, ts + 1), ts.size - 1)
+    match = ts[pos] == ts + 1
+    nxt = np.where(match, phi[pos], 0.0)
+    unnormalized = np.where(ts > nxt, ts, np.maximum(nxt, 1.0) / phi * (ts + 1))
+    norm = float((phi * unnormalized).sum())
+    return unnormalized / norm
+
+
+def _best_natural(spec, profile: SampleProfile, p) -> np.ndarray:
+    """Oracle natural estimator: each count class shares its true mass equally.
+
+    q_t = S_t / phi[t]. Count classes with zero true mass get zero, which
+    never hurts the loss against the same p.
+    """
+    return class_totals(p, profile) / profile.phi
+
+
+def _permutation_oracle(spec, profile: SampleProfile, p) -> np.ndarray:
+    """Posterior mean over all relabelings of p, given the observed counts.
+
+    Averages p(sigma(y)) over every permutation sigma of the alphabet,
+    weighted by the sample's likelihood under the relabeled distribution.
+    Exact k! enumeration, so k is capped.
+    """
+    k = p.size
+    if k > PERMUTATION_ORACLE_MAX_K:
+        raise CapacityError(
+            f"permutation oracle enumerates k! relabelings; k={k} exceeds cap {PERMUTATION_ORACLE_MAX_K}"
+        )
+    numerator = np.zeros(k)
+    denominator = 0.0
+    for sigma in permutations(range(k)):
+        relabeled = p[list(sigma)]
+        weight = float(np.prod(relabeled**profile.counts))
+        if weight == 0.0:
+            continue
+        denominator += weight
+        numerator += weight * relabeled
+    if denominator == 0.0:
+        raise UndefinedEstimateError("sample has zero probability under every relabeling of p")
+    # Equal-count symbols receive the same terms in a different order, which
+    # can differ by an ulp; the class mean gives them one shared value.
+    return class_totals(numerator, profile) / profile.phi / denominator
+
+
+_PER_CLASS = {
+    "empirical": _empirical,
+    "add-beta": _add_beta,
+    "competitive-gt": _competitive_gt,
+    "best-natural": _best_natural,
+    "permutation-oracle": _permutation_oracle,
+}
+_ORACLE_KINDS = frozenset({"best-natural", "permutation-oracle"})
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """A named, parameterized estimator selection."""
+    """A named, parameterized estimator selection.
+
+    Calling it with (profile, p) gives one probability per count class,
+    aligned with profile.ts; oracle kinds expect p validated and of size k.
+    """
 
     kind: str
     name: str
     beta_fn: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _PER_CLASS:
             raise ConfigurationError(f"unknown estimator kind '{self.kind}'")
         if self.kind == "add-beta" and self.beta_fn is None:
             raise ConfigurationError("add-beta estimator needs a beta function")
@@ -66,6 +153,9 @@ class EstimatorSpec:
     @property
     def requires_true_p(self) -> bool:
         return self.kind in _ORACLE_KINDS
+
+    def __call__(self, profile: SampleProfile, p=None) -> np.ndarray:
+        return _PER_CLASS[self.kind](self, profile, p)
 
 
 _NAMED = {
@@ -104,120 +194,21 @@ def _expand(profile: SampleProfile, per_class: np.ndarray) -> np.ndarray:
     return table[profile.counts]
 
 
-def empirical(profile: SampleProfile) -> np.ndarray:
-    """Relative frequencies n(x)/n; unseen symbols get exactly zero."""
-    if profile.n == 0:
-        raise UndefinedEstimateError("empirical estimate undefined for an empty sample")
-    return profile.counts / profile.n
-
-
-def add_beta(profile: SampleProfile, beta_fn: Callable[[int], float]) -> np.ndarray:
-    """Smoothed counts (n(x) + beta(n(x))) / N, N normalizing over all k symbols."""
-    betas = np.array([float(beta_fn(int(t))) for t in profile.ts])
-    if np.any(betas <= 0.0) or float(beta_fn(0)) <= 0.0:
-        raise InvalidParameterError("beta(t) must be positive for every count value")
-    norm = profile.n + float(np.sum(profile.phi * betas))
-    return (profile.counts + _expand(profile, betas)) / norm
-
-
-def competitive_gt(profile: SampleProfile) -> np.ndarray:
-    """Per-count-class switch between the empirical and Good-Turing estimates.
-
-    A count-t symbol keeps its raw count t when t exceeds the prevalence of
-    count t+1 (the Good-Turing correction would be noisier than the count
-    itself); otherwise it gets the Good-Turing mass max(phi[t+1], 1) / phi[t]
-    * (t+1). Unseen symbols are always on the Good-Turing side. Everything is
-    normalized at the end.
-    """
-    if profile.n == 0:
-        raise UndefinedEstimateError("competitive estimate undefined for an empty sample")
-    ts = profile.ts
-    phi = profile.phi.astype(np.float64)
-    # prevalence of count t+1 for each realized t (0 when that count is absent)
-    pos = np.minimum(np.searchsorted(ts, ts + 1), ts.size - 1)
-    match = ts[pos] == ts + 1
-    nxt = np.where(match, phi[pos], 0.0)
-    unnormalized = np.where(ts > nxt, ts, np.maximum(nxt, 1.0) / phi * (ts + 1))
-    norm = float(np.sum(phi * unnormalized))
-    return _expand(profile, unnormalized / norm)
-
-
-def best_natural(p, profile: SampleProfile) -> np.ndarray:
-    """Oracle natural estimator: each count class shares its true mass equally.
-
-    q(x) = S_t / phi[t] for t = n(x). Count classes with zero true mass get
-    zero, which never hurts the loss against the same p.
-    """
-    p = validate_distribution(p)
-    if p.size != profile.k:
-        raise InvalidParameterError(
-            f"distribution has {p.size} entries but profile expects {profile.k}"
-        )
-    class_mass = np.bincount(profile.counts, weights=p)[profile.ts]
-    return _expand(profile, class_mass / profile.phi)
-
-
-def permutation_oracle(p, sample: Sample) -> np.ndarray:
-    """Posterior mean over all relabelings of p, given the observed sample.
-
-    Averages p(sigma(y)) over every permutation sigma of the alphabet,
-    weighted by the sample's likelihood under the relabeled distribution.
-    Exact k! enumeration, so k is capped.
-    """
-    p = validate_distribution(p)
-    if p.size != sample.alphabet_size:
-        raise InvalidParameterError(
-            f"distribution has {p.size} entries but sample alphabet is {sample.alphabet_size}"
-        )
-    counts = np.bincount(sample.symbols, minlength=sample.alphabet_size + 1)[1:]
-    return _permutation_oracle_from_counts(p, counts)
-
-
-def _permutation_oracle_from_counts(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    k = p.size
-    if k > PERMUTATION_ORACLE_MAX_K:
-        raise CapacityError(
-            f"permutation oracle enumerates k! relabelings; k={k} exceeds cap {PERMUTATION_ORACLE_MAX_K}"
-        )
-    numerator = np.zeros(k)
-    denominator = 0.0
-    for sigma in permutations(range(k)):
-        relabeled = p[list(sigma)]
-        weight = float(np.prod(relabeled**counts))
-        if weight == 0.0:
-            continue
-        denominator += weight
-        numerator += weight * relabeled
-    if denominator == 0.0:
-        raise UndefinedEstimateError("sample has zero probability under every relabeling of p")
-    # Equal-count symbols receive the same terms in a different order, which
-    # can differ by an ulp; share the class mean so equality is exact.
-    for t in np.unique(counts):
-        members = counts == t
-        numerator[members] = numerator[members].mean()
-    return numerator / denominator
-
-
 def apply_estimator(estimator, profile: SampleProfile, p=None) -> np.ndarray:
-    """Evaluate an estimator on a profile.
+    """Evaluate an estimator on a profile as a probability vector over the k symbols.
 
     estimator may be an EstimatorSpec, a name string, or any callable
-    (profile, p) -> probability vector. Oracle kinds require the true p.
+    (profile, p) -> per-class values aligned with profile.ts. Oracle kinds
+    require the true p.
     """
     if isinstance(estimator, str):
         estimator = parse_estimator(estimator)
-    if not isinstance(estimator, EstimatorSpec):
-        return estimator(profile, p)
-    if estimator.requires_true_p and p is None:
-        raise InvalidParameterError(
-            f"estimator '{estimator.name}' needs the true distribution"
-        )
-    if estimator.kind == "empirical":
-        return empirical(profile)
-    if estimator.kind == "add-beta":
-        return add_beta(profile, estimator.beta_fn)
-    if estimator.kind == "competitive-gt":
-        return competitive_gt(profile)
-    if estimator.kind == "best-natural":
-        return best_natural(p, profile)
-    return _permutation_oracle_from_counts(validate_distribution(p), profile.counts)
+    if isinstance(estimator, EstimatorSpec) and estimator.requires_true_p:
+        if p is None:
+            raise InvalidParameterError(f"estimator '{estimator.name}' needs the true distribution")
+        p = validate_distribution(p)
+        if p.size != profile.k:
+            raise InvalidParameterError(
+                f"distribution has {p.size} entries but profile expects {profile.k}"
+            )
+    return _expand(profile, estimator(profile, p))

@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .distributions import validate_distribution
-from .divergence import entropy, kl
+from .divergence import entropy, natural_kl
 from .errors import CapacityError, InvalidParameterError
-from .estimators import apply_estimator
-from .profile import profile_from_counts
+from .estimators import parse_estimator
+from .profile import class_totals, profile_from_counts
 
 DEFAULT_SEQUENCE_CAP = 10_000_000
 CLASS_REGRET_MAX_K = 6
@@ -43,30 +43,41 @@ def _check_cap(k: int, n: int, cap: int) -> None:
     base = max(k, 2)
     if n >= cap.bit_length() or base**n > cap:
         raise CapacityError(f"enumeration of {base}**{n} sequences exceeds cap {cap}")
-
-
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    # The count vectors themselves take k entries each: with n = 1 a large
+    # alphabet passes the sequence test while its k vectors hold k**2 counts.
+    entries = k * math.comb(n + k - 1, n)
+    if entries > cap:
+        raise CapacityError(f"enumeration of {entries} count entries exceeds cap {cap}")
 
 
 @lru_cache(maxsize=128)
 def _count_vectors(k: int, n: int):
-    """All count vectors over k symbols summing to n, with their profiles and
-    multinomial coefficients."""
+    """All count vectors over k symbols summing to n, in lexicographic order,
+    as (profile, multinomial coefficient) pairs.
+
+    Stars and bars: the k - 1 bar positions among n + k - 1 slots fix one
+    vector, and the gaps between consecutive bars are its counts.
+    """
     entries = []
     factorial_n = math.factorial(n)
-    for c in _compositions(n, k):
-        counts = np.array(c, dtype=np.int64)
+    for bars in combinations(range(n + k - 1), k - 1):
+        profile = profile_from_counts(np.diff((-1, *bars, n + k - 1)) - 1)
         coefficient = factorial_n
-        for ci in c:
+        for ci in profile.counts.tolist():
             coefficient //= math.factorial(ci)
-        entries.append((counts, profile_from_counts(counts), coefficient))
+        entries.append((profile, coefficient))
     return tuple(entries)
+
+
+def _reachable(p: np.ndarray, n: int, cap: int):
+    """(profile, coefficient, probability) of every count vector that a
+    length-n sample from the validated p can produce."""
+    _check_cap(int(p.size), n, cap)
+    for profile, coefficient in _count_vectors(int(p.size), n):
+        # a symbol of probability 0 seen at least once zeroes the product
+        weight = coefficient * float((p**profile.counts).prod())
+        if weight != 0.0:
+            yield profile, coefficient, weight
 
 
 def exact_expected_kl(p, estimator, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> ExactResult:
@@ -76,20 +87,14 @@ def exact_expected_kl(p, estimator, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> 
     sample makes the expectation infinite.
     """
     p = validate_distribution(p)
-    k = int(p.size)
-    _check_cap(k, n, cap)
-    zero_support = p == 0.0
+    if isinstance(estimator, str):
+        estimator = parse_estimator(estimator)
+    h = entropy(p)
     total = 0.0
     sequences = 0
     mass = 0.0
-    for counts, profile, coefficient in _count_vectors(k, n):
-        if np.any(counts[zero_support] > 0):
-            continue
-        weight = coefficient * float(np.prod(p**counts))
-        if weight == 0.0:
-            continue
-        estimate = apply_estimator(estimator, profile, p)
-        loss = kl(p, estimate)
+    for profile, coefficient, weight in _reachable(p, n, cap):
+        loss = natural_kl(class_totals(p, profile), estimator(profile, p), h)
         sequences += coefficient
         mass += weight
         total += weight * loss
@@ -103,17 +108,9 @@ def exact_natural_regret(p, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> float:
     hair below zero, so the result is clamped at 0.
     """
     p = validate_distribution(p)
-    k = int(p.size)
-    _check_cap(k, n, cap)
-    zero_support = p == 0.0
     accumulated = 0.0
-    for counts, profile, coefficient in _count_vectors(k, n):
-        if np.any(counts[zero_support] > 0):
-            continue
-        weight = coefficient * float(np.prod(p**counts))
-        if weight == 0.0:
-            continue
-        class_mass = np.bincount(counts, weights=p)[profile.ts]
+    for profile, _, weight in _reachable(p, n, cap):
+        class_mass = class_totals(p, profile)
         positive = class_mass > 0.0
         inner = float(
             np.sum(class_mass[positive] * np.log(profile.phi[positive] / class_mass[positive]))

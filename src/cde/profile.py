@@ -90,13 +90,7 @@ class CombinedMass:
 
 def combined_mass(p, profile: SampleProfile) -> CombinedMass:
     """Total probability of the symbols in each count class: S_t = sum of p(x) over x with count t."""
-    p = validate_distribution(p)
-    if p.size != profile.k:
-        raise InvalidParameterError(
-            f"distribution has {p.size} entries but profile expects {profile.k}"
-        )
-    sums = np.bincount(profile.counts, weights=p)
-    return CombinedMass(ts=profile.ts.copy(), values=sums[profile.ts])
+    return CombinedMass(ts=profile.ts.copy(), values=class_totals(validate_distribution(p), profile))
 
 
 def class_totals(values, profile: SampleProfile) -> np.ndarray:

@@ -18,15 +18,16 @@ import numpy as np
 from .distributions import (
     DistributionSpec,
     RngSeed,
+    check_alphabet,
     draw_counts,
     make_generator,
     parse_distribution,
     validate_distribution,
 )
-from .divergence import kl
+from .divergence import entropy, natural_kl
 from .errors import ConfigurationError
-from .estimators import EstimatorSpec, apply_estimator, parse_estimator
-from .profile import profile_from_counts
+from .estimators import EstimatorSpec, parse_estimator
+from .profile import class_totals, profile_from_counts
 
 # Stream reserved for the single prior draw when redraw_prior_per_trial is
 # off; trial streams use indices 0..trials-1.
@@ -54,6 +55,7 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
+        check_alphabet(self.k)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if not self.n_grid:
@@ -172,6 +174,7 @@ def _simulate_cell(
     if fixed_p is not None:
         fixed_p = validate_distribution(fixed_p)
         fixed_cdf = np.cumsum(fixed_p)
+        fixed_h = entropy(fixed_p)
         if (
             k <= 64
             and 0 <= n <= 64  # math.comb needs n >= 0; n <= 64 keeps it below bignum territory
@@ -183,16 +186,16 @@ def _simulate_cell(
         rng = make_generator(RngSeed(master_seed, index))
         if fixed_p is None:
             p = validate_distribution(spec.realize(k, rng))
-            cdf = np.cumsum(p)
+            cdf, h = np.cumsum(p), entropy(p)
         else:
-            p, cdf = fixed_p, fixed_cdf
+            p, cdf, h = fixed_p, fixed_cdf, fixed_h
         counts = draw_counts(cdf, n, rng)
         if memo is None:
-            return _evaluate(estimators, profile_from_counts(counts), p)
+            return _evaluate(estimators, profile_from_counts(counts), p, h)
         key = counts.tobytes()
         row = memo.get(key)
         if row is None:
-            row = memo[key] = _evaluate(estimators, profile_from_counts(counts), p)
+            row = memo[key] = _evaluate(estimators, profile_from_counts(counts), p, h)
         return row
 
     if workers > 1:
@@ -203,8 +206,9 @@ def _simulate_cell(
     return np.vstack(rows)
 
 
-def _evaluate(estimators: list, profile, p) -> np.ndarray:
-    return np.array([kl(p, apply_estimator(est, profile, p)) for est in estimators])
+def _evaluate(estimators: list, profile, p, h: float) -> np.ndarray:
+    s = class_totals(p, profile)
+    return np.array([natural_kl(s, est(profile, p), h) for est in estimators])
 
 
 def _aggregate(

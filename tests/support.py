@@ -29,10 +29,7 @@ def make_natural_estimator(tag: int):
         raw = ss.generate_state(profile.ts.size).astype(np.float64) / 2**32
         class_mass = raw + 0.05
         class_mass /= class_mass.sum()
-        per_symbol = class_mass / profile.phi
-        table = np.zeros(int(profile.ts[-1]) + 1)
-        table[profile.ts] = per_symbol
-        return table[profile.counts]
+        return class_mass / profile.phi
 
     estimate.__name__ = f"natural_{tag}"
     return estimate

@@ -25,6 +25,7 @@ def _report(criterion: str, ok: bool, detail: str = ""):
     assert ok, f"{criterion}: {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_1_exact_identity_suite():
     """Oracle identities on a grid of random distributions, k in {2,3,4}, n in 1..6."""
     started = time.time()
@@ -47,8 +48,8 @@ def test_criterion_1_exact_identity_suite():
             # per-sequence loss decomposition on a drawn sample
             sample = cde.draw_sample(p, n, cde.RngSeed(55, index * 7 + n))
             profile = cde.build_profile(sample)
-            q = make_natural_estimator(index)(profile)
-            q_star = cde.best_natural(p, profile)
+            q = cde.apply_estimator(make_natural_estimator(index), profile, p)
+            q_star = cde.apply_estimator("best-natural", profile, p)
             lhs = cde.cross_entropy(p, q) - cde.cross_entropy(p, q_star)
             rhs = cde.combined_kl(cde.combined_mass(p, profile), cde.combined_mass(q, profile))
             assert abs(lhs - rhs) <= 1e-10, (k, n, lhs, rhs)
@@ -72,6 +73,7 @@ def test_criterion_2_hand_derived_exact_values():
     _report("criterion 2 (hand-derived exact values)", elapsed < 1.0, f"{elapsed:.3f}s")
 
 
+@pytest.mark.slow
 def test_criterion_3_monte_carlo_matches_oracle():
     started = time.time()
     rng = np.random.default_rng(3003)
@@ -87,8 +89,7 @@ def test_criterion_3_monte_carlo_matches_oracle():
         budget = max(4 * record.stderr, 1e-12)  # zero-variance cells leave rounding only
         gap = abs(record.mean_kl - exact)
         assert gap <= budget, (name, k, n, gap, record.stderr)
-        if record.stderr > 0:
-            worst = max(worst, gap / (4 * record.stderr))
+        worst = max(worst, gap / budget)
     elapsed = time.time() - started
     _report(
         "criterion 3 (Monte Carlo vs oracle)",
@@ -121,6 +122,7 @@ def figure_scale_grid():
     return {(r.distribution, r.estimator, r.n): r for r in records}
 
 
+@pytest.mark.slow
 def test_criterion_4a_competitive_beats_add_beta(figure_scale_grid):
     worst = math.inf
     for dist in ("uniform", "step", "zipf1", "zipf1.5"):
@@ -141,6 +143,7 @@ def test_criterion_4a_competitive_beats_add_beta(figure_scale_grid):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4b_oracle_dominance(figure_scale_grid):
     worst = math.inf
     for dist in DISTRIBUTIONS:
@@ -152,6 +155,7 @@ def test_criterion_4b_oracle_dominance(figure_scale_grid):
     _report("criterion 4b (best-natural lower bounds competitive)", True, f"min gap {worst:.5f} nats")
 
 
+@pytest.mark.slow
 def test_criterion_4c_mean_kl_non_increasing_in_n(figure_scale_grid):
     # The paper's decrease in n is a worst-case statement: one add-beta curve
     # on a flat source rises while n approaches and passes k (see README). So

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from cde import ConfigurationError, ExperimentConfig, run_experiment
+import cde.cli
+import cde.oracle
+from cde import ConfigurationError, DistributionSpec, ExperimentConfig, run_experiment
 from cde.cli import CSV_HEADER, main, parse_n_grid, read_csv, _fmt12, _workers_from_env
+from cde.distributions import MAX_ALPHABET
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -142,6 +145,77 @@ def test_simulate_bad_flag_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(["simulate", "--bogus"], capsys)
     assert code == 2
+
+
+HUGE_K = str(10**11)
+
+EXIT_CODE_ROWS = [
+    # (argv, environment, p-file text, exit code, stderr fragment); {out} and
+    # {p} stand for an output path and the p-file
+    pytest.param(SIMULATE_ARGS + ["--out", "{out}", "--bogus"], {}, None, 2, "--bogus", id="bad-flag"),
+    pytest.param(["simulate", "--k", "4", "--n-grid", "2", "--trials", "5", "--estimators", "typo",
+                  "--distributions", "uniform", "--out", "{out}"], {}, None, 3, "typo",
+                 id="unknown-estimator"),
+    pytest.param(["simulate", "--k", "4", "--n-grid", "2", "--trials", "5", "--estimators", "laplace",
+                  "--distributions", "wat", "--out", "{out}"], {}, None, 3, "wat",
+                 id="unknown-distribution"),
+    pytest.param(["exact", "--k", "2", "--n", "1", "--estimator", "laplace", "--p", "{p}"], {},
+                 "nan\nnan\n", 3, "sums to nan", id="nan-p-file"),
+    pytest.param(SIMULATE_ARGS + ["--out", "{out}"], {"CDE_THREADS": "abc"}, None, 3, "CDE_THREADS",
+                 id="bad-threads"),
+    pytest.param(["exact", "--k", "3", "--n", "-1", "--estimator", "laplace", "--dist", "uniform"], {},
+                 None, 3, "n must be", id="negative-n"),
+    pytest.param(["simulate", "--k", HUGE_K, "--n-grid", "5", "--trials", "2", "--estimators", "laplace",
+                  "--distributions", "uniform", "--out", "{out}"], {}, None, 4, "alphabet size",
+                 id="simulate-alphabet-cap"),
+    pytest.param(["estimate", "--k", HUGE_K, "--estimator", "laplace", "--sample", "{p}"], {}, "1\n", 4,
+                 "alphabet size", id="estimate-alphabet-cap"),
+    pytest.param(["exact", "--k", HUGE_K, "--n", "1", "--estimator", "laplace", "--dist", "uniform"], {},
+                 None, 4, "alphabet size", id="exact-alphabet-cap"),
+    pytest.param(["exact", "--k", "100000", "--n", "1", "--estimator", "laplace", "--dist", "uniform"],
+                 {}, None, 4, "count entries", id="count-entry-cap"),
+    pytest.param(["exact", "--k", "2000", "--n", "1", "--estimator", "laplace", "--dist", "uniform"], {},
+                 None, 0, "", id="large-k-single-draw"),
+]
+
+
+@pytest.mark.parametrize("argv, env, p_text, code, fragment", EXIT_CODE_ROWS)
+def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys, monkeypatch):
+    # Over-cap rows must fail before the allocation they guard: anything of
+    # alphabet size, or the enumerated count vectors, fails the test instead.
+    realize, build_profile = DistributionSpec.realize, cde.cli.build_profile
+    count_vectors = cde.oracle._count_vectors
+
+    def guarded_realize(self, k, rng=None):
+        assert k <= MAX_ALPHABET, f"realized a distribution over k={k}"
+        return realize(self, k, rng)
+
+    def guarded_build_profile(sample):
+        assert sample.alphabet_size <= MAX_ALPHABET, f"profiled k={sample.alphabet_size}"
+        return build_profile(sample)
+
+    def guarded_count_vectors(k, n):
+        assert k * math.comb(n + k - 1, n) <= cde.oracle.DEFAULT_SEQUENCE_CAP, (k, n)
+        return count_vectors(k, n)
+
+    monkeypatch.setattr(DistributionSpec, "realize", guarded_realize)
+    monkeypatch.setattr(cde.cli, "build_profile", guarded_build_profile)
+    monkeypatch.setattr(cde.oracle, "_count_vectors", guarded_count_vectors)
+    monkeypatch.delenv("CDE_THREADS", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    p_file = tmp_path / "p.txt"
+    if p_text is not None:
+        p_file.write_text(p_text)
+    out = tmp_path / "out.csv"
+    argv = [arg.format(out=out, p=p_file) for arg in argv]
+    got, stdout, err = run_cli(argv, capsys)
+    assert got == code, err
+    assert fragment in err
+    if code:
+        assert stdout == "" and not out.exists()
+    else:
+        assert math.isfinite(float(stdout))
 
 
 def test_parse_n_grid():

@@ -7,16 +7,20 @@ from cde import (
     CombinedMass,
     InvalidParameterError,
     RngSeed,
-    best_natural,
+    apply_estimator,
     build_profile,
+    class_totals,
     combined_kl,
     combined_mass,
     cross_entropy,
     draw_sample,
     entropy,
     kl,
+    parse_estimator,
+    profile_from_counts,
     uniform,
 )
+from cde.divergence import natural_kl
 
 from support import make_natural_estimator, random_distribution
 
@@ -117,10 +121,37 @@ def test_loss_difference_equals_class_mass_divergence():
         p = random_distribution(rng, k)
         sample = draw_sample(p, n, RngSeed(700, case))
         profile = build_profile(sample)
-        q = make_natural_estimator(case)(profile)
-        q_star = best_natural(p, profile)
+        q = apply_estimator(make_natural_estimator(case), profile, p)
+        q_star = apply_estimator("best-natural", profile, p)
         s = combined_mass(p, profile)
         s_hat = combined_mass(q, profile)
         lhs = cross_entropy(p, q) - cross_entropy(p, q_star)
         rhs = combined_kl(s, s_hat)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_natural_kl_matches_symbol_kl():
+    # The count-class loss that simulate and exact use must equal the plain
+    # k-symbol KL of the expanded estimate, for every built-in estimator.
+    names = ("empirical", "laplace", "kt", "braess-sauer", "add-beta:2.5",
+             "competitive", "best-natural", "perm-oracle")
+    rng = np.random.default_rng(516)
+    infinite = 0
+    for case in range(300):
+        k = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 15))
+        p = random_distribution(rng, k)
+        if case % 3 == 0 and k > 1:
+            p[rng.permutation(k)[: int(rng.integers(1, k))]] = 0.0
+            p /= p.sum()
+        profile = profile_from_counts(rng.multinomial(n, p))
+        s, h = class_totals(p, profile), entropy(p)
+        for name in names:
+            expected = kl(p, apply_estimator(name, profile, p))
+            got = natural_kl(s, parse_estimator(name)(profile, p), h)
+            if math.isinf(expected):
+                assert got == math.inf, (case, name)
+                infinite += 1
+            else:
+                assert abs(got - expected) <= 1e-12, (case, name, got, expected)
+    assert infinite > 50  # empirical leaves unseen symbols with positive mass

@@ -4,23 +4,19 @@ import pytest
 from cde import (
     CapacityError,
     ConfigurationError,
+    EstimatorSpec,
     InvalidParameterError,
     RngSeed,
     Sample,
     UndefinedEstimateError,
-    add_beta,
     apply_estimator,
-    best_natural,
     braess_sauer_beta,
     build_profile,
-    competitive_gt,
     cross_entropy,
     draw_sample,
-    empirical,
     kt_beta,
     laplace_beta,
     parse_estimator,
-    permutation_oracle,
     uniform,
 )
 
@@ -32,46 +28,54 @@ def _profile(symbols, k):
 
 
 def test_empirical_relative_frequencies():
-    np.testing.assert_allclose(empirical(_profile([1, 1, 2], 3)), [2 / 3, 1 / 3, 0.0], rtol=1e-15)
-    np.testing.assert_array_equal(empirical(_profile([1], 2)), [1.0, 0.0])
+    np.testing.assert_allclose(
+        apply_estimator("empirical", _profile([1, 1, 2], 3)), [2 / 3, 1 / 3, 0.0], rtol=1e-15
+    )
+    np.testing.assert_array_equal(apply_estimator("empirical", _profile([1], 2)), [1.0, 0.0])
 
 
 def test_empirical_undefined_for_empty_sample():
     with pytest.raises(UndefinedEstimateError):
-        empirical(_profile([], 3))
+        apply_estimator("empirical", _profile([], 3))
 
 
 def test_add_beta_presets_by_hand():
     profile = _profile([1, 1, 2], 3)
     # Laplace: (t + 1) / (n + k)
-    np.testing.assert_allclose(add_beta(profile, laplace_beta), [3 / 6, 2 / 6, 1 / 6], rtol=1e-15)
+    np.testing.assert_allclose(apply_estimator("laplace", profile), [3 / 6, 2 / 6, 1 / 6], rtol=1e-15)
     # Krichevsky-Trofimov: (t + 1/2) / (n + k/2)
-    np.testing.assert_allclose(add_beta(profile, kt_beta), np.array([2.5, 1.5, 0.5]) / 4.5, rtol=1e-15)
+    np.testing.assert_allclose(apply_estimator("kt", profile), np.array([2.5, 1.5, 0.5]) / 4.5, rtol=1e-15)
     # Braess-Sauer: beta(0) = 1/2, beta(1) = 1, beta(t>1) = 3/4
     np.testing.assert_allclose(
-        add_beta(profile, braess_sauer_beta), np.array([2.75, 2.0, 0.5]) / 5.25, rtol=1e-15
+        apply_estimator("braess-sauer", profile), np.array([2.75, 2.0, 0.5]) / 5.25, rtol=1e-15
     )
 
 
 def test_add_beta_rejects_nonpositive_beta():
     profile = _profile([1, 1, 2], 3)
     with pytest.raises(InvalidParameterError):
-        add_beta(profile, lambda t: 0.0)
+        apply_estimator(EstimatorSpec("add-beta", "zero", beta_fn=lambda t: 0.0), profile)
     with pytest.raises(InvalidParameterError):
-        add_beta(profile, lambda t: -1.0 if t == 0 else 1.0)
+        apply_estimator(
+            EstimatorSpec("add-beta", "negative", beta_fn=lambda t: -1.0 if t == 0 else 1.0), profile
+        )
 
 
 def test_competitive_hand_examples():
-    np.testing.assert_allclose(competitive_gt(_profile([1, 1, 2], 3)), [0.4, 0.4, 0.2], rtol=1e-15)
+    np.testing.assert_allclose(
+        apply_estimator("competitive", _profile([1, 1, 2], 3)), [0.4, 0.4, 0.2], rtol=1e-15
+    )
     # all counts 1 and no pair class: every symbol takes its raw count
-    np.testing.assert_allclose(competitive_gt(_profile([1, 2, 3], 3)), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+    np.testing.assert_allclose(
+        apply_estimator("competitive", _profile([1, 2, 3], 3)), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15
+    )
     # single observation: seen symbol keeps count 1, unseen gets max(phi1,1)/phi0
-    np.testing.assert_allclose(competitive_gt(_profile([1], 2)), [0.5, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(apply_estimator("competitive", _profile([1], 2)), [0.5, 0.5], rtol=1e-15)
 
 
 def test_competitive_undefined_for_empty_sample():
     with pytest.raises(UndefinedEstimateError):
-        competitive_gt(_profile([], 2))
+        apply_estimator("competitive", _profile([], 2))
 
 
 def test_competitive_unseen_class_value():
@@ -83,7 +87,7 @@ def test_competitive_unseen_class_value():
         profile = build_profile(sample)
         if profile.phi0 == 0:
             continue
-        q = competitive_gt(profile)
+        q = apply_estimator("competitive", profile)
         unseen = q[profile.counts == 0]
         # every unseen symbol gets the same Good-Turing share
         assert np.all(unseen == unseen[0])
@@ -95,24 +99,30 @@ def test_competitive_unseen_class_value():
 
 def test_best_natural_hand_examples():
     profile = _profile([1, 1, 2], 3)
-    np.testing.assert_allclose(best_natural([0.5, 0.3, 0.2], profile), [0.5, 0.3, 0.2], rtol=1e-15)
-    np.testing.assert_array_equal(best_natural([1.0, 0.0], _profile([1], 2)), [1.0, 0.0])
-    np.testing.assert_allclose(best_natural(uniform(2), _profile([1], 2)), [0.5, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(
+        apply_estimator("best-natural", profile, [0.5, 0.3, 0.2]), [0.5, 0.3, 0.2], rtol=1e-15
+    )
+    np.testing.assert_array_equal(
+        apply_estimator("best-natural", _profile([1], 2), [1.0, 0.0]), [1.0, 0.0]
+    )
+    np.testing.assert_allclose(
+        apply_estimator("best-natural", _profile([1], 2), uniform(2)), [0.5, 0.5], rtol=1e-15
+    )
 
 
 def test_best_natural_dimension_mismatch():
     with pytest.raises(InvalidParameterError):
-        best_natural([0.5, 0.5], _profile([1, 1, 2], 3))
+        apply_estimator("best-natural", _profile([1, 1, 2], 3), [0.5, 0.5])
 
 
 def test_permutation_oracle_hand_examples():
     # constant distribution is identified exactly from one draw
     np.testing.assert_array_equal(
-        permutation_oracle([1.0, 0.0], Sample(np.array([1]), 2)), [1.0, 0.0]
+        apply_estimator("perm-oracle", _profile([1], 2), [1.0, 0.0]), [1.0, 0.0]
     )
     # both relabelings enumerated by hand: (0.49 + 0.09, 0.21 + 0.21)
     np.testing.assert_allclose(
-        permutation_oracle([0.7, 0.3], Sample(np.array([1]), 2)), [0.58, 0.42], rtol=1e-14
+        apply_estimator("perm-oracle", _profile([1], 2), [0.7, 0.3]), [0.58, 0.42], rtol=1e-14
     )
 
 
@@ -121,17 +131,19 @@ def test_permutation_oracle_uniform_is_uniform():
     for k in (2, 3, 4):
         n = int(rng.integers(1, 5))
         sample = draw_sample(uniform(k), n, RngSeed(21, k))
-        np.testing.assert_allclose(permutation_oracle(uniform(k), sample), uniform(k), rtol=1e-12)
+        np.testing.assert_allclose(
+            apply_estimator("perm-oracle", build_profile(sample), uniform(k)), uniform(k), rtol=1e-12
+        )
 
 
 def test_permutation_oracle_caps_alphabet():
     with pytest.raises(CapacityError):
-        permutation_oracle(uniform(7), Sample(np.array([1]), 7))
+        apply_estimator("perm-oracle", _profile([1], 7), uniform(7))
 
 
 def test_permutation_oracle_impossible_sample():
     with pytest.raises(UndefinedEstimateError):
-        permutation_oracle([1.0, 0.0], Sample(np.array([1, 2]), 2))
+        apply_estimator("perm-oracle", _profile([1, 2], 2), [1.0, 0.0])
 
 
 def test_parse_estimator_names():
@@ -204,9 +216,9 @@ def test_best_natural_minimizes_log_loss_per_sequence():
         n = int(rng.integers(1, 10))
         p = random_distribution(rng, k)
         profile = build_profile(draw_sample(p, n, RngSeed(46, case)))
-        oracle_loss = cross_entropy(p, best_natural(p, profile))
+        oracle_loss = cross_entropy(p, apply_estimator("best-natural", profile, p))
         for tag in range(5):
-            rival = make_natural_estimator(case * 10 + tag)(profile)
+            rival = apply_estimator(make_natural_estimator(case * 10 + tag), profile, p)
             assert oracle_loss <= cross_entropy(p, rival) + 1e-12
 
 

@@ -40,6 +40,7 @@ def test_mean_infinite_iff_inf_trials():
     assert finite.stderr >= 0.0
 
 
+@pytest.mark.slow
 def test_monte_carlo_matches_exact_laplace():
     exact = exact_expected_kl([0.5, 0.5], "laplace", 1).expected_kl
     record = monte_carlo_regret([0.5, 0.5], "laplace", 1, 100_000, 7)
@@ -49,6 +50,7 @@ def test_monte_carlo_matches_exact_laplace():
     assert exact == pytest.approx(0.058891, abs=1e-6)
 
 
+@pytest.mark.slow
 def test_monte_carlo_oracle_agreement_cells():
     rng = np.random.default_rng(1212)
     for case in range(3):
