@@ -17,7 +17,7 @@ from .distributions import (
     validate_distribution,
     zipf,
 )
-from .divergence import combined_kl, cross_entropy, entropy, kl
+from .divergence import cross_entropy, entropy, kl
 from .errors import (
     CapacityError,
     CdeError,
@@ -40,11 +40,9 @@ from .oracle import (
     exact_natural_regret,
 )
 from .profile import (
-    CombinedMass,
     SampleProfile,
     build_profile,
     class_totals,
-    combined_mass,
     profile_from_counts,
 )
 from .simulation import (
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "CdeError",
-    "CombinedMass",
     "ConfigurationError",
     "DistributionSpec",
     "EstimatorSpec",
@@ -75,8 +72,6 @@ __all__ = [
     "braess_sauer_beta",
     "build_profile",
     "class_totals",
-    "combined_kl",
-    "combined_mass",
     "cross_entropy",
     "draw_sample",
     "entropy",

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--fixed-prior",
         action="store_true",
-        help="draw prior-based distributions once per cell instead of per trial",
+        help="draw each prior-based distribution once, for every n, instead of per trial",
     )
     sim.set_defaults(func=_cmd_simulate)
 

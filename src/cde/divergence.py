@@ -1,4 +1,4 @@
-"""Loss functions: KL divergence, entropy, and their count-class analogues.
+"""Loss functions: KL divergence, cross entropy, entropy and the count-class loss.
 
 All logarithms are natural, so every value is in nats. Infinite divergences
 are returned as float infinity and never clamped; aggregation layers decide
@@ -12,11 +12,11 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError
-from .profile import CombinedMass
 
 
 def kl(p, q) -> float:
-    """KL divergence sum(p * ln(p/q)); +inf when q is 0 somewhere p is not.
+    """KL divergence sum(p * ln(p/q)); +inf when q is 0 somewhere p is not,
+    InvalidParameterError when q is negative anywhere.
 
     Rounding can push the raw sum a few ulps below zero when p and q nearly
     coincide; the result is floored at 0 since the true value cannot be
@@ -26,6 +26,8 @@ def kl(p, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise InvalidParameterError(f"length mismatch: {p.shape} vs {q.shape}")
+    if (q < 0.0).any():
+        raise InvalidParameterError("q must be nonnegative")
     support = p > 0.0
     ps = p[support]
     qs = q[support]
@@ -66,24 +68,3 @@ def natural_kl(s, q, h: float) -> float:
     """
     return max(cross_entropy(s, q) - h, 0.0)
 
-
-def combined_kl(s, s_hat) -> float:
-    """KL divergence between per-count-class mass vectors.
-
-    Accepts CombinedMass values or plain arrays; when both are CombinedMass
-    their count-class index sets must agree. Conventions match kl(),
-    including the floor at 0.
-    """
-    sv, st = _mass_values(s)
-    hv, ht = _mass_values(s_hat)
-    if st is not None and ht is not None and not np.array_equal(st, ht):
-        raise InvalidParameterError("count-class index sets differ")
-    if np.any(hv < 0.0):
-        raise InvalidParameterError("estimated class masses must be nonnegative")
-    return kl(sv, hv)
-
-
-def _mass_values(m):
-    if isinstance(m, CombinedMass):
-        return np.asarray(m.values, dtype=np.float64), m.ts
-    return np.asarray(m, dtype=np.float64), None

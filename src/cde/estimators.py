@@ -28,6 +28,7 @@ from .errors import (
 )
 from .profile import SampleProfile, class_totals
 
+# caps every k! walk over relabelings of p, here and in oracle.exact_class_regret
 PERMUTATION_ORACLE_MAX_K = 6
 
 

@@ -19,11 +19,10 @@ import numpy as np
 from .distributions import validate_distribution
 from .divergence import entropy, natural_kl
 from .errors import CapacityError, InvalidParameterError
-from .estimators import parse_estimator
+from .estimators import PERMUTATION_ORACLE_MAX_K, parse_estimator
 from .profile import class_totals, profile_from_counts
 
 DEFAULT_SEQUENCE_CAP = 10_000_000
-CLASS_REGRET_MAX_K = 6
 
 
 @dataclass(frozen=True)
@@ -50,13 +49,14 @@ def _check_cap(k: int, n: int, cap: int) -> None:
         raise CapacityError(f"enumeration of {entries} count entries exceeds cap {cap}")
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def _count_vectors(k: int, n: int):
     """All count vectors over k symbols summing to n, in lexicographic order,
     as (profile, multinomial coefficient) pairs.
 
     Stars and bars: the k - 1 bar positions among n + k - 1 slots fix one
-    vector, and the gaps between consecutive bars are its counts.
+    vector, and the gaps between consecutive bars are its counts. Only the
+    latest (k, n) is cached, as one enumeration may hold 10^7 count entries.
     """
     entries = []
     factorial_n = math.factorial(n)
@@ -122,9 +122,9 @@ def exact_natural_regret(p, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> float:
 def exact_class_regret(p, estimator, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> float:
     """Worst exact expected KL over all distinct relabelings of p."""
     p = validate_distribution(p)
-    if p.size > CLASS_REGRET_MAX_K:
+    if p.size > PERMUTATION_ORACLE_MAX_K:
         raise CapacityError(
-            f"class regret enumerates k! relabelings; k={p.size} exceeds cap {CLASS_REGRET_MAX_K}"
+            f"class regret enumerates k! relabelings; k={p.size} exceeds cap {PERMUTATION_ORACLE_MAX_K}"
         )
     relabelings = sorted(set(permutations(p.tolist())))
     return max(

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Sample, validate_distribution
+from .distributions import Sample
 from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
 class SampleProfile:
-    """Counts plus a sparse prevalence map.
+    """Counts plus their sparse prevalences.
 
     ts holds the realized count values in increasing order (0 included
     exactly when some symbol is unseen); phi[i] is the number of symbols
@@ -31,22 +31,6 @@ class SampleProfile:
     counts: np.ndarray
     ts: np.ndarray
     phi: np.ndarray
-
-    @property
-    def prevalence(self) -> dict[int, int]:
-        return {int(t): int(f) for t, f in zip(self.ts, self.phi)}
-
-    @property
-    def phi0(self) -> int:
-        """Number of unseen symbols."""
-        return self.phi_at(0)
-
-    def phi_at(self, t: int) -> int:
-        """Prevalence of count value t; 0 when no symbol has that count."""
-        i = int(np.searchsorted(self.ts, t))
-        if i < self.ts.size and self.ts[i] == t:
-            return int(self.phi[i])
-        return 0
 
 
 def profile_from_counts(counts) -> SampleProfile:
@@ -73,28 +57,9 @@ def build_profile(sample: Sample) -> SampleProfile:
     return profile_from_counts(counts)
 
 
-@dataclass(frozen=True)
-class CombinedMass:
-    """Per-count-class probability totals, aligned with a profile's ts."""
-
-    ts: np.ndarray
-    values: np.ndarray
-
-    @property
-    def as_dict(self) -> dict[int, float]:
-        return {int(t): float(v) for t, v in zip(self.ts, self.values)}
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
-def combined_mass(p, profile: SampleProfile) -> CombinedMass:
-    """Total probability of the symbols in each count class: S_t = sum of p(x) over x with count t."""
-    return CombinedMass(ts=profile.ts.copy(), values=class_totals(validate_distribution(p), profile))
-
-
 def class_totals(values, profile: SampleProfile) -> np.ndarray:
-    """Per-count-class totals of an arbitrary per-symbol vector, aligned with profile.ts."""
+    """Per-count-class totals of an arbitrary per-symbol vector, aligned with
+    profile.ts; for the true p these are the class masses S_t."""
     values = np.asarray(values, dtype=np.float64)
     if values.size != profile.k:
         raise InvalidParameterError(

@@ -116,19 +116,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RegretRec
     est_specs = [parse_estimator(name) for name in config.estimators]
     by_cell: dict[tuple[str, str, int], RegretRecord] = {}
     for dist in dist_specs:
+        fixed_p = None
+        if not dist.is_prior:
+            fixed_p = dist.realize(config.k)
+        elif not config.redraw_prior_per_trial:
+            prior_rng = make_generator(RngSeed(config.master_seed, FIXED_PRIOR_STREAM))
+            fixed_p = dist.realize(config.k, prior_rng)
         for n in config.n_grid:
-            fixed_p = None
-            spec = dist
-            if not dist.is_prior:
-                fixed_p = dist.realize(config.k)
-                spec = None
-            elif not config.redraw_prior_per_trial:
-                prior_rng = make_generator(RngSeed(config.master_seed, FIXED_PRIOR_STREAM))
-                fixed_p = dist.realize(config.k, prior_rng)
-                spec = None
             losses = _simulate_cell(
                 fixed_p=fixed_p,
-                spec=spec,
+                spec=dist,
                 estimators=est_specs,
                 k=config.k,
                 n=n,

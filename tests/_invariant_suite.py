@@ -17,7 +17,7 @@ from cde import (
     Sample,
     apply_estimator,
     build_profile,
-    combined_mass,
+    class_totals,
     draw_sample,
     sample_dirichlet,
     step,
@@ -116,9 +116,9 @@ def check_profile_identities() -> str:
         assert profile.phi.sum() == k
         assert int(np.sum(profile.ts * profile.phi)) == n
         assert np.all(profile.phi > 0)
-        mass = combined_mass(p, profile)
-        assert abs(mass.total() - 1.0) <= 1e-12
-        assert np.all(mass.values >= 0.0)
+        mass = class_totals(p, profile)
+        assert abs(mass.sum() - 1.0) <= 1e-12
+        assert np.all(mass >= 0.0)
     return "1000 profile identity cases"
 
 
@@ -129,7 +129,7 @@ def check_competitive_unseen_class() -> str:
         k = int(rng.integers(2, 40))
         n = int(rng.integers(1, 50))
         profile = build_profile(draw_sample(random_distribution(rng, k), n, RngSeed(841, case)))
-        if profile.phi0 == 0:
+        if not (profile.counts == 0).any():
             continue
         q = apply_estimator("competitive", profile)
         unseen = q[profile.counts == 0]

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from cde import (
-    CombinedMass,
     InvalidParameterError,
     RngSeed,
     apply_estimator,
     build_profile,
     class_totals,
-    combined_kl,
-    combined_mass,
     cross_entropy,
     draw_sample,
     entropy,
@@ -43,6 +40,13 @@ def test_kl_support_violation_is_infinite():
 def test_kl_length_mismatch():
     with pytest.raises(InvalidParameterError):
         kl([0.5, 0.5], [1.0])
+
+
+def test_kl_rejects_negative_q():
+    # also where p is 0: a negative entry means q is no estimate at all
+    for p, q in (([0.5, 0.5], [0.5, -0.5]), ([0.5, 0.5], [1.5, -0.5]), ([1.0, 0.0], [1.5, -0.5])):
+        with pytest.raises(InvalidParameterError):
+            kl(p, q)
 
 
 def test_kl_nonnegative_fuzz():
@@ -83,34 +87,6 @@ def test_cross_entropy_decomposes_as_entropy_plus_kl():
         assert cross_entropy(p, q) == pytest.approx(entropy(p) + kl(p, q), abs=1e-12)
 
 
-def test_combined_kl_identity_and_analytic_value():
-    s = CombinedMass(ts=np.array([0, 1]), values=np.array([0.3, 0.7]))
-    assert combined_kl(s, s) == 0.0
-    s = CombinedMass(ts=np.array([0, 1]), values=np.array([1.0, 0.0]))
-    s_hat = CombinedMass(ts=np.array([0, 1]), values=np.array([0.5, 0.5]))
-    assert combined_kl(s, s_hat) == pytest.approx(math.log(2), abs=1e-15)
-
-
-def test_combined_kl_support_and_index_checks():
-    s = CombinedMass(ts=np.array([0, 1]), values=np.array([0.5, 0.5]))
-    assert combined_kl(s, [0.0, 1.0]) == math.inf
-    mismatched = CombinedMass(ts=np.array([1, 2]), values=np.array([0.5, 0.5]))
-    with pytest.raises(InvalidParameterError):
-        combined_kl(s, mismatched)
-    with pytest.raises(InvalidParameterError):
-        combined_kl(s, [0.5, -0.5])
-
-
-def test_combined_kl_nonnegative_fuzz():
-    rng = np.random.default_rng(407)
-    for _ in range(300):
-        m = int(rng.integers(1, 8))
-        ts = np.arange(m)
-        s = rng.dirichlet(np.ones(m))
-        s_hat = rng.dirichlet(np.ones(m))
-        assert combined_kl(CombinedMass(ts, s), CombinedMass(ts, s_hat)) >= 0.0
-
-
 def test_loss_difference_equals_class_mass_divergence():
     # For a natural estimator q with class totals S_hat, the excess of its
     # log-loss over the oracle natural estimator's equals the class-mass KL.
@@ -123,10 +99,8 @@ def test_loss_difference_equals_class_mass_divergence():
         profile = build_profile(sample)
         q = apply_estimator(make_natural_estimator(case), profile, p)
         q_star = apply_estimator("best-natural", profile, p)
-        s = combined_mass(p, profile)
-        s_hat = combined_mass(q, profile)
         lhs = cross_entropy(p, q) - cross_entropy(p, q_star)
-        rhs = combined_kl(s, s_hat)
+        rhs = kl(class_totals(p, profile), class_totals(q, profile))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

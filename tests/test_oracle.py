@@ -130,6 +130,12 @@ def test_capacity_cap_bounds_n_for_every_k(monkeypatch):
         exact_natural_regret([1.0], -1)
 
 
+def test_enumeration_cache_keeps_only_the_latest_count_vectors():
+    exact_expected_kl(uniform(3), "laplace", 4)
+    exact_natural_regret(uniform(4), 2)
+    assert cde.oracle._count_vectors.cache_info().currsize == 1
+
+
 def test_capacity_cap_admits_instances_near_it():
     assert exact_expected_kl([1.0], "laplace", 23).expected_kl == 0.0
     for k, n in ((6, 8), (5, 9), (4, 11), (3, 14)):

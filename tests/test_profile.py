@@ -7,7 +7,6 @@ from cde import (
     Sample,
     build_profile,
     class_totals,
-    combined_mass,
     draw_sample,
     profile_from_counts,
 )
@@ -19,30 +18,32 @@ def test_profile_repeated_symbols():
     # a,b,c,a,b,d,e encoded over a 5-symbol alphabet
     profile = build_profile(Sample(np.array([1, 2, 3, 1, 2, 4, 5]), 5))
     np.testing.assert_array_equal(profile.counts, [2, 2, 1, 1, 1])
-    assert profile.prevalence == {1: 3, 2: 2}
-    assert profile.phi0 == 0
+    np.testing.assert_array_equal(profile.ts, [1, 2])
+    np.testing.assert_array_equal(profile.phi, [3, 2])
     assert profile.n == 7 and profile.k == 5
 
 
 def test_profile_empty_sample():
     profile = build_profile(Sample(np.array([], dtype=np.int64), 3))
     np.testing.assert_array_equal(profile.counts, [0, 0, 0])
-    assert profile.prevalence == {0: 3}
-    assert profile.phi0 == 3
+    np.testing.assert_array_equal(profile.ts, [0])
+    np.testing.assert_array_equal(profile.phi, [3])
     assert profile.n == 0
 
 
 def test_profile_direct_counting():
     profile = build_profile(Sample(np.array([1, 1, 2]), 3))
     np.testing.assert_array_equal(profile.counts, [2, 1, 0])
-    assert profile.prevalence == {0: 1, 1: 1, 2: 1}
+    np.testing.assert_array_equal(profile.ts, [0, 1, 2])
+    np.testing.assert_array_equal(profile.phi, [1, 1, 1])
 
 
 def test_phi_lookup_missing_counts():
     profile = build_profile(Sample(np.array([1, 1, 2]), 3))
-    assert profile.phi_at(2) == 1
-    assert profile.phi_at(3) == 0
-    assert profile.phi_at(17) == 0
+    # a count value no symbol has gets no class, so its prevalence reads as 0
+    prevalence = dict(zip(profile.ts.tolist(), profile.phi.tolist()))
+    for t in (2, 3, 17):
+        assert prevalence.get(t, 0) == (profile.counts == t).sum()
 
 
 def test_profile_from_counts_rejects_negative():
@@ -52,22 +53,22 @@ def test_profile_from_counts_rejects_negative():
 
 def test_combined_mass_examples():
     profile = build_profile(Sample(np.array([1, 1, 2]), 3))
-    mass = combined_mass([0.5, 0.3, 0.2], profile)
-    assert mass.as_dict == {0: 0.2, 1: 0.3, 2: 0.5}
+    np.testing.assert_array_equal(profile.ts, [0, 1, 2])
+    np.testing.assert_array_equal(class_totals([0.5, 0.3, 0.2], profile), [0.2, 0.3, 0.5])
 
     empty = build_profile(Sample(np.array([], dtype=np.int64), 3))
-    mass = combined_mass([0.5, 0.3, 0.2], empty)
-    assert mass.as_dict == {0: 1.0}
+    np.testing.assert_array_equal(empty.ts, [0])
+    np.testing.assert_array_equal(class_totals([0.5, 0.3, 0.2], empty), [1.0])
 
     one = build_profile(Sample(np.array([1]), 2))
-    mass = combined_mass([1.0, 0.0], one)
-    assert mass.as_dict == {0: 0.0, 1: 1.0}
+    np.testing.assert_array_equal(one.ts, [0, 1])
+    np.testing.assert_array_equal(class_totals([1.0, 0.0], one), [0.0, 1.0])
 
 
 def test_combined_mass_dimension_mismatch():
     profile = build_profile(Sample(np.array([1, 1, 2]), 3))
     with pytest.raises(InvalidParameterError):
-        combined_mass([0.5, 0.5], profile)
+        class_totals([0.5, 0.5], profile)
 
 
 def test_class_totals_matches_manual_grouping():
@@ -90,9 +91,9 @@ def test_profile_invariants_fuzz():
         assert int(np.sum(profile.ts * profile.phi)) == n
         assert np.all(profile.phi > 0)
         assert np.all(np.diff(profile.ts) > 0)
-        mass = combined_mass(p, profile)
-        assert abs(mass.total() - 1.0) <= 1e-12
-        assert np.all(mass.values >= 0)
+        mass = class_totals(p, profile)
+        assert abs(mass.sum() - 1.0) <= 1e-12
+        assert np.all(mass >= 0)
 
 
 def test_build_profile_permutation_equivariant():
@@ -104,5 +105,6 @@ def test_build_profile_permutation_equivariant():
         profile = build_profile(Sample(symbols, k))
         relabel = rng.permutation(k) + 1  # old symbol x -> new symbol relabel[x-1]
         permuted = build_profile(Sample(relabel[symbols - 1], k))
-        assert profile.prevalence == permuted.prevalence
+        np.testing.assert_array_equal(permuted.ts, profile.ts)
+        np.testing.assert_array_equal(permuted.phi, profile.phi)
         np.testing.assert_array_equal(permuted.counts[relabel - 1], profile.counts)
