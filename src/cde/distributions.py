@@ -8,6 +8,7 @@ so every draw can be reproduced from its coordinates alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,16 @@ _U64_MAX = 2**64 - 1
 # Largest alphabet an entry point accepts: one k-sized float64 vector is
 # then 80 MB, and a larger k must fail before anything of size k exists.
 MAX_ALPHABET = 10_000_000
+
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx) and
+# the 128-bit LCG multiplier PCG64 seeds with, which stream_states reproduces.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = 2**128 - 1
 
 
 def check_alphabet(k: int) -> None:
@@ -36,16 +47,85 @@ class RngSeed:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= _U64_MAX:
-                raise InvalidParameterError(
-                    f"{name} must be an unsigned 64-bit integer, got {value!r}"
-                )
+            try:
+                # admits numpy integer scalars, as a Python int
+                index = operator.index(value)
+            except TypeError:
+                index = -1
+            # bool is an int subclass but never meant as a seed
+            if isinstance(value, bool) or not 0 <= index <= _U64_MAX:
+                raise InvalidParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+            object.__setattr__(self, name, index)
 
 
 def make_generator(rng: RngSeed) -> np.random.Generator:
     """PCG64 generator for one stream: SeedSequence(seed, spawn_key=(stream_id,))."""
     ss = np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream_id,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def stream_states(seed: int, stream_ids) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of make_generator(RngSeed(seed, i)) for each i in
+    stream_ids (nonnegative integers below 2**64), derived in one pass.
+
+    This is SeedSequence(entropy=seed, spawn_key=(i,)) with the pool words
+    of all streams held in uint32 arrays. The seed's words fill the 4-word
+    pool and are mixed alike for every i, on Python ints; only the
+    spawn-key words (one below 2**32, two from there on) are mixed per
+    stream. generate_state(4, uint64) then gives PCG64's initstate and
+    initseq, and its seeding step runs on Python ints. load_stream puts a
+    pair into a generator.
+    """
+    seed = RngSeed(seed).seed
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    hash_const = _INIT_A
+
+    # Both take Python ints below 2**32 or uint32 arrays, whose products wrap.
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return result ^ result >> 16
+
+    # The run entropy is zero-padded to the pool size whenever a spawn key
+    # is given, and a seed below 2**64 has at most two nonzero words.
+    pool = [hashmix(seed >> 32 * j & _MASK32) for j in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    low = ids.astype(np.uint32)  # the cast keeps the low 32 bits
+    pool = [mix(word, hashmix(low)) for word in pool]
+    high = (ids >> 32).astype(np.uint32)
+    wide = high != 0
+    if wide.any():
+        pool = [np.where(wide, mix(word, hashmix(high)), word) for word in pool]
+
+    hash_const = _INIT_B
+    words = np.stack([hashmix(pool[j % _POOL_SIZE], _MULT_B) for j in range(2 * _POOL_SIZE)], axis=1)
+    # generate_state(4, uint64) reads the eight words as little-endian pairs
+    words = words.astype("<u4").view("<u8").tolist()
+    states = []
+    for initstate_hi, initstate_lo, initseq_hi, initseq_lo in words:
+        inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _MASK128
+        initstate = initstate_hi << 64 | initstate_lo
+        states.append(((initstate + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def load_stream(gen: np.random.Generator, state: tuple[int, int]) -> None:
+    """Point gen's PCG64 at a (state, inc) pair from stream_states."""
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -167,8 +247,12 @@ def draw_counts(cdf: np.ndarray, n: int, rng) -> np.ndarray:
         raise InvalidParameterError(f"n must be >= 0, got {n}")
     u = _as_generator(rng).random(n)
     u.sort()
-    edges = np.searchsorted(u, cdf[:-1], side="left")
-    return np.diff(edges, prepend=0, append=n)
+    # edges[j] uniforms lie below cdf[j - 1]; the ends are 0 and n
+    edges = np.empty(cdf.size + 1, dtype=np.int64)
+    edges[0] = 0
+    edges[1:-1] = np.searchsorted(u, cdf[:-1], side="left")
+    edges[-1] = n
+    return edges[1:] - edges[:-1]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from .errors import InvalidParameterError
 
 def kl(p, q) -> float:
     """KL divergence sum(p * ln(p/q)); +inf when q is 0 somewhere p is not,
-    InvalidParameterError when q is negative anywhere.
+    InvalidParameterError when an entry of p or q is negative, NaN or
+    infinite.
 
     Rounding can push the raw sum a few ulps below zero when p and q nearly
     coincide; the result is floored at 0 since the true value cannot be
@@ -26,8 +27,10 @@ def kl(p, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise InvalidParameterError(f"length mismatch: {p.shape} vs {q.shape}")
-    if (q < 0.0).any():
-        raise InvalidParameterError("q must be nonnegative")
+    for name, v in (("p", p), ("q", q)):
+        # NaN fails the first comparison
+        if not ((v >= 0.0) & (v < math.inf)).all():
+            raise InvalidParameterError(f"{name} must be finite and nonnegative")
     support = p > 0.0
     ps = p[support]
     qs = q[support]

@@ -4,12 +4,15 @@ Trial i of any cell draws from the stream (master_seed, i), consuming first
 the prior draw (when the distribution is a redrawn prior) and then the
 sample. Estimators sharing a cell are evaluated on the same per-trial
 samples, which pairs the comparison and keeps reruns bit-identical no matter
-how trials are scheduled across threads.
+how trials are scheduled across threads. The streams are the ones
+make_generator builds; a cell derives their states a block at a time with
+stream_states and loads each into one reusable generator per worker thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,12 +23,14 @@ from .distributions import (
     RngSeed,
     check_alphabet,
     draw_counts,
+    load_stream,
     make_generator,
     parse_distribution,
+    stream_states,
     validate_distribution,
 )
 from .divergence import entropy, natural_kl
-from .errors import ConfigurationError
+from .errors import CapacityError, ConfigurationError
 from .estimators import EstimatorSpec, parse_estimator
 from .profile import class_totals, profile_from_counts
 
@@ -35,6 +40,14 @@ FIXED_PRIOR_STREAM = 2**64 - 1
 
 # Cells whose sample is this compressible get a count-vector KL cache.
 _MEMO_MAX_COUNT_VECTORS = 10_000
+
+# Largest trials per cell an entry point accepts: a cell's losses are then
+# 80 MB per estimator, and a larger count must fail before they exist.
+MAX_TRIALS = 10_000_000
+
+# Trial streams are derived this many at a time, so the table of stream
+# states stays small whatever the trial count.
+_STREAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -56,8 +69,8 @@ class ExperimentConfig:
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         check_alphabet(self.k)
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        _check_trials(self.trials)
+        object.__setattr__(self, "master_seed", RngSeed(self.master_seed).seed)
         if not self.n_grid:
             raise ConfigurationError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -94,8 +107,8 @@ def monte_carlo_regret(
     p = validate_distribution(p)
     if isinstance(estimator, str):
         estimator = parse_estimator(estimator)
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
+    master_seed = RngSeed(master_seed).seed
     losses = _simulate_cell(
         fixed_p=p,
         spec=None,
@@ -145,6 +158,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RegretRec
     ]
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise CapacityError(f"trials={trials} exceeds cap {MAX_TRIALS}")
+
+
 def _estimator_name(estimator) -> str:
     if isinstance(estimator, EstimatorSpec):
         return estimator.name
@@ -179,8 +199,13 @@ def _simulate_cell(
         ):
             memo = {}
 
-    def one_trial(index: int) -> np.ndarray:
-        rng = make_generator(RngSeed(master_seed, index))
+    generators = threading.local()  # one reusable generator per worker thread
+
+    def one_trial(stream) -> np.ndarray:
+        rng = getattr(generators, "rng", None)
+        if rng is None:
+            rng = generators.rng = np.random.Generator(np.random.PCG64())
+        load_stream(rng, stream)
         if fixed_p is None:
             p = validate_distribution(spec.realize(k, rng))
             cdf, h = np.cumsum(p), entropy(p)
@@ -195,12 +220,17 @@ def _simulate_cell(
             row = memo[key] = _evaluate(estimators, profile_from_counts(counts), p, h)
         return row
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, trials)) as pool:
-            rows = list(pool.map(one_trial, range(trials)))
-    else:
-        rows = [one_trial(i) for i in range(trials)]
-    return np.vstack(rows)
+    pool = ThreadPoolExecutor(max_workers=min(workers, trials)) if workers > 1 else None
+    losses = np.empty((trials, len(estimators)))
+    try:
+        for start in range(0, trials, _STREAM_BLOCK):
+            stop = min(start + _STREAM_BLOCK, trials)
+            streams = stream_states(master_seed, np.arange(start, stop, dtype=np.uint64))
+            losses[start:stop] = list(pool.map(one_trial, streams) if pool else map(one_trial, streams))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return losses
 
 
 def _evaluate(estimators: list, profile, p, h: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -7,9 +8,11 @@ import pytest
 
 import cde.cli
 import cde.oracle
+import cde.simulation
 from cde import ConfigurationError, DistributionSpec, ExperimentConfig, run_experiment
 from cde.cli import CSV_HEADER, main, parse_n_grid, read_csv, _fmt12, _workers_from_env
 from cde.distributions import MAX_ALPHABET
+from cde.simulation import MAX_TRIALS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -176,15 +179,19 @@ EXIT_CODE_ROWS = [
                  {}, None, 4, "count entries", id="count-entry-cap"),
     pytest.param(["exact", "--k", "2000", "--n", "1", "--estimator", "laplace", "--dist", "uniform"], {},
                  None, 0, "", id="large-k-single-draw"),
+    pytest.param(["simulate", "--k", "4", "--n-grid", "2", "--trials", str(MAX_TRIALS + 1), "--estimators",
+                  "laplace", "--distributions", "uniform", "--out", "{out}"], {}, None, 4, "trials",
+                 id="trials-cap"),
 ]
 
 
 @pytest.mark.parametrize("argv, env, p_text, code, fragment", EXIT_CODE_ROWS)
 def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys, monkeypatch):
     # Over-cap rows must fail before the allocation they guard: anything of
-    # alphabet size, or the enumerated count vectors, fails the test instead.
+    # alphabet size, the enumerated count vectors or a cell's trials fails
+    # the test instead.
     realize, build_profile = DistributionSpec.realize, cde.cli.build_profile
-    count_vectors = cde.oracle._count_vectors
+    count_vectors, simulate_cell = cde.oracle._count_vectors, cde.simulation._simulate_cell
 
     def guarded_realize(self, k, rng=None):
         assert k <= MAX_ALPHABET, f"realized a distribution over k={k}"
@@ -198,9 +205,15 @@ def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys,
         assert k * math.comb(n + k - 1, n) <= cde.oracle.DEFAULT_SEQUENCE_CAP, (k, n)
         return count_vectors(k, n)
 
+    def guarded_simulate_cell(*args, **kwargs):
+        trials = inspect.signature(simulate_cell).bind(*args, **kwargs).arguments["trials"]
+        assert trials <= MAX_TRIALS, f"simulated {trials} trials"
+        return simulate_cell(*args, **kwargs)
+
     monkeypatch.setattr(DistributionSpec, "realize", guarded_realize)
     monkeypatch.setattr(cde.cli, "build_profile", guarded_build_profile)
     monkeypatch.setattr(cde.oracle, "_count_vectors", guarded_count_vectors)
+    monkeypatch.setattr(cde.simulation, "_simulate_cell", guarded_simulate_cell)
     monkeypatch.delenv("CDE_THREADS", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -15,7 +15,8 @@ from cde import (
     uniform,
     zipf,
 )
-from cde.distributions import draw_counts
+from cde.distributions import draw_counts, load_stream, stream_states
+from cde.simulation import FIXED_PRIOR_STREAM
 
 VALIDITY_KS = [1, 2, 3, 10, 100, 10000]
 
@@ -207,6 +208,54 @@ def test_rng_seed_validates_range():
         RngSeed(-1, 0)
     with pytest.raises(InvalidParameterError):
         RngSeed(0, 2**64)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, "7", None])
+def test_rng_seed_rejects_non_integers(bad):
+    with pytest.raises(InvalidParameterError, match="seed must be an unsigned 64-bit integer"):
+        RngSeed(bad, 0)
+    with pytest.raises(InvalidParameterError, match="stream_id must be an unsigned 64-bit integer"):
+        RngSeed(0, bad)
+
+
+def test_rng_seed_accepts_numpy_integers_as_python_ints():
+    rng = RngSeed(np.int64(7), np.uint64(2**64 - 1))
+    assert rng == RngSeed(7, 2**64 - 1)
+    assert type(rng.seed) is int and type(rng.stream_id) is int
+    with pytest.raises(InvalidParameterError):
+        RngSeed(np.int64(-1), 0)
+
+
+# Seeds and stream ids on both sides of 2**32, where SeedSequence's word
+# count changes, up to the largest 64-bit value.
+STREAM_SEEDS = [0, 7, 3100, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
+STREAM_IDS = [0, 1, 2, 255, 256, 1000, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**63, FIXED_PRIOR_STREAM]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_states_reproduce_make_generator(seed):
+    states = stream_states(seed, STREAM_IDS)
+    assert len(states) == len(STREAM_IDS)
+    reused = np.random.Generator(np.random.PCG64())
+    for stream_id, state in zip(STREAM_IDS, states):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+        reference = np.random.PCG64(ss).state["state"]
+        assert state == (reference["state"], reference["inc"]), stream_id
+        expected = make_generator(RngSeed(seed, stream_id))
+        load_stream(reused, state)
+        np.testing.assert_array_equal(reused.random(7), expected.random(7))
+        np.testing.assert_array_equal(reused.gamma(0.5, 1.0, size=5), expected.gamma(0.5, 1.0, size=5))
+    # a block's states do not depend on the other ids derived with it
+    assert [stream_states(seed, [i])[0] for i in STREAM_IDS] == states
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, True, 2.5])
+def test_stream_states_validate_the_seed_like_rng_seed(bad):
+    with pytest.raises(InvalidParameterError) as by_rng_seed:
+        RngSeed(bad)
+    with pytest.raises(InvalidParameterError) as by_streams:
+        stream_states(bad, [0])
+    assert str(by_streams.value) == str(by_rng_seed.value)
 
 
 def test_parse_distribution_standard_names():

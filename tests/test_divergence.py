@@ -49,6 +49,22 @@ def test_kl_rejects_negative_q():
             kl(p, q)
 
 
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([0.5, 0.5], [np.nan, 1.0]),
+        ([0.5, 0.5], [np.inf, 1.0]),
+        ([1.0, 0.0], [0.5, np.inf]),
+        ([1.5, -0.5], [0.5, 0.5]),
+        ([np.nan, 1.0], [0.5, 0.5]),
+        ([np.inf, 0.0], [0.5, 0.5]),
+    ],
+)
+def test_kl_rejects_non_finite_or_negative_entries(p, q):
+    with pytest.raises(InvalidParameterError):
+        kl(p, q)
+
+
 def test_kl_nonnegative_fuzz():
     rng = np.random.default_rng(404)
     for _ in range(500):

@@ -5,14 +5,23 @@ import pytest
 
 import cde.simulation
 from cde import (
+    CapacityError,
     ConfigurationError,
     ExperimentConfig,
     InvalidParameterError,
+    RngSeed,
     exact_expected_kl,
+    make_generator,
     monte_carlo_regret,
+    parse_distribution,
+    parse_estimator,
+    profile_from_counts,
     run_experiment,
     uniform,
+    validate_distribution,
 )
+from cde.distributions import draw_counts
+from cde.simulation import _STREAM_BLOCK, FIXED_PRIOR_STREAM, MAX_TRIALS, _evaluate, _simulate_cell
 
 from support import random_distribution
 
@@ -75,6 +84,74 @@ def test_memo_cell_builds_one_profile_per_count_vector(monkeypatch):
     monte_carlo_regret([0.3, 0.7], "laplace", 3, 400, 5)
     # two symbols and n = 3 leave four count vectors
     assert len(built) == len(set(built)) <= 4
+
+
+def _reference_losses(fixed_p, spec, estimators, k, n, trials, master_seed):
+    """_simulate_cell's losses from one make_generator stream per trial."""
+    rows = []
+    for i in range(trials):
+        rng = make_generator(RngSeed(master_seed, i))
+        p = fixed_p if fixed_p is not None else validate_distribution(spec.realize(k, rng))
+        counts = draw_counts(np.cumsum(p), n, rng)
+        rows.append(_evaluate(estimators, profile_from_counts(counts), p, cde.entropy(p)))
+    return np.vstack(rows)
+
+
+def _fixed_prior(spec, k, master_seed):
+    return spec.realize(k, make_generator(RngSeed(master_seed, FIXED_PRIOR_STREAM)))
+
+
+# (fixed p, distribution spec, k, n, trials, master seed); the trial counts
+# span more than one block of derived stream states.
+STREAM_CELLS = {
+    "memo": lambda: (np.array([0.2, 0.3, 0.5]), None, 3, 5, 600, 3100),
+    "no-memo": lambda: (random_distribution(np.random.default_rng(5), 100), None, 100, 40, 300, 2**40 + 5),
+    "dir0.5-redrawn": lambda: (None, parse_distribution("dir0.5"), 20, 12, 300, 7),
+    "fixed-prior": lambda: (_fixed_prior(parse_distribution("dir0.5"), 20, 11), None, 20, 12, 300, 11),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cell", sorted(STREAM_CELLS))
+def test_simulate_cell_matches_make_generator_streams(cell, workers):
+    fixed_p, spec, k, n, trials, master_seed = STREAM_CELLS[cell]()
+    assert trials > _STREAM_BLOCK
+    estimators = [parse_estimator(name) for name in ("laplace", "competitive", "best-natural")]
+    got = _simulate_cell(fixed_p, spec, estimators, k, n, trials, master_seed, workers)
+    expected = _reference_losses(fixed_p, spec, estimators, k, n, trials, master_seed)
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_master_seed_integer_handling():
+    p = [0.3, 0.7]
+    with pytest.raises(InvalidParameterError, match="seed must be an unsigned 64-bit integer"):
+        monte_carlo_regret(p, "laplace", 3, 10, True)
+    with pytest.raises(InvalidParameterError, match="seed must be an unsigned 64-bit integer"):
+        monte_carlo_regret(p, "laplace", 3, 10, -1)
+    record = monte_carlo_regret(p, "laplace", 3, 10, np.int64(7))
+    assert record == monte_carlo_regret(p, "laplace", 3, 10, 7)
+    assert type(record.master_seed) is int
+    config = ExperimentConfig(
+        k=3, n_grid=(2,), trials=5, master_seed=np.uint64(9),
+        distributions=("uniform",), estimators=("laplace",),
+    )
+    assert type(config.master_seed) is int and config.master_seed == 9
+    with pytest.raises(InvalidParameterError):
+        ExperimentConfig(**{**config.__dict__, "master_seed": True})
+
+
+def test_trials_cap_fails_before_any_trial(monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cde.simulation, "_simulate_cell", no_cell)
+    with pytest.raises(CapacityError, match="trials"):
+        monte_carlo_regret([0.5, 0.5], "laplace", 2, MAX_TRIALS + 1, 0)
+    with pytest.raises(CapacityError, match="trials"):
+        ExperimentConfig(
+            k=3, n_grid=(2,), trials=MAX_TRIALS + 1, master_seed=0,
+            distributions=("uniform",), estimators=("laplace",),
+        )
 
 
 def test_negative_n_is_invalid_parameter():
