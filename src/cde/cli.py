@@ -29,7 +29,7 @@ from .errors import (
 from .estimators import apply_estimator, parse_estimator
 from .oracle import exact_expected_kl
 from .profile import build_profile
-from .simulation import ExperimentConfig, RegretRecord, run_experiment
+from .simulation import MAX_SAMPLE_SIZE, ExperimentConfig, RegretRecord, run_experiment
 
 CSV_HEADER = "distribution,estimator,k,n,trials,seed,mean_kl_nats,stderr_nats,inf_trials"
 
@@ -149,6 +149,10 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
             start, stop, count = int(start_s), int(stop_s), int(count_s)
             if count < 1:
                 raise ValueError("count must be >= 1")
+            if max(start, stop) > MAX_SAMPLE_SIZE:
+                raise CapacityError(f"bad n-grid {text!r}: sample size exceeds cap {MAX_SAMPLE_SIZE}")
+            if count > abs(stop - start) + 1:
+                raise ValueError(f"count exceeds the {abs(stop - start) + 1} integers from start to stop")
             if count == 1:
                 return (start,)
             return tuple(int(np.rint(v)) for v in np.linspace(start, stop, count))

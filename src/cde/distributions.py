@@ -8,6 +8,7 @@ so every draw can be reproduced from its coordinates alone.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -20,6 +21,10 @@ _U64_MAX = 2**64 - 1
 # Largest alphabet an entry point accepts: one k-sized float64 vector is
 # then 80 MB, and a larger k must fail before anything of size k exists.
 MAX_ALPHABET = 10_000_000
+# Attempts at a Dirichlet draw before it gives up; only a tiny alpha makes
+# every Gamma draw of an attempt underflow to 0. A draw that succeeds within
+# the bound consumes its stream exactly as unbounded retries would.
+_DIRICHLET_ATTEMPTS = 64
 
 # numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx) and
 # the 128-bit LCG multiplier PCG64 seeds with, which stream_states reproduces.
@@ -211,11 +216,15 @@ def sample_dirichlet(k: int, alpha: float, rng) -> np.ndarray:
     if not alpha > 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     gen = _as_generator(rng)
-    while True:
+    for _ in range(_DIRICHLET_ATTEMPTS):
         g = gen.gamma(alpha, 1.0, size=k)
         total = g.sum()
         if total > 0.0:  # guards against total underflow at tiny alpha
             return g / total
+    raise InvalidParameterError(
+        f"Dirichlet alpha={alpha} is too small: all {k} Gamma draws underflowed to 0 "
+        f"in {_DIRICHLET_ATTEMPTS} attempts"
+    )
 
 
 def draw_sample(p, n: int, rng) -> Sample:
@@ -311,6 +320,6 @@ def _parse_positive(name: str, text: str, what: str) -> float:
         value = float(text)
     except ValueError:
         raise ConfigurationError(f"unknown distribution '{name}': bad {what} {text!r}") from None
-    if not value > 0:
-        raise ConfigurationError(f"unknown distribution '{name}': {what} must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"unknown distribution '{name}': {what} must be finite and positive")
     return value

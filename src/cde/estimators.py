@@ -13,6 +13,7 @@ profile.ts. apply_estimator spreads those values over the k symbols.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Optional
@@ -100,27 +101,25 @@ def _permutation_oracle(spec, profile: SampleProfile, p) -> np.ndarray:
 
     Averages p(sigma(y)) over every permutation sigma of the alphabet,
     weighted by the sample's likelihood under the relabeled distribution.
-    Exact k! enumeration, so k is capped.
+    The likelihoods are compared in log space, so a large n cannot
+    underflow them all to 0. Exact k! enumeration, so k is capped.
     """
     k = p.size
     if k > PERMUTATION_ORACLE_MAX_K:
         raise CapacityError(
             f"permutation oracle enumerates k! relabelings; k={k} exceeds cap {PERMUTATION_ORACLE_MAX_K}"
         )
-    numerator = np.zeros(k)
-    denominator = 0.0
-    for sigma in permutations(range(k)):
-        relabeled = p[list(sigma)]
-        weight = float(np.prod(relabeled**profile.counts))
-        if weight == 0.0:
-            continue
-        denominator += weight
-        numerator += weight * relabeled
-    if denominator == 0.0:
+    relabeled = p[np.array(list(permutations(range(k))))]
+    seen = profile.counts > 0
+    with np.errstate(divide="ignore"):  # ln 0 = -inf rules out a relabeling
+        log_weight = np.log(relabeled[:, seen]) @ profile.counts[seen]
+    if not np.isfinite(log_weight).any():
         raise UndefinedEstimateError("sample has zero probability under every relabeling of p")
+    weight = np.exp(log_weight - log_weight.max())
+    numerator = weight @ relabeled
     # Equal-count symbols receive the same terms in a different order, which
     # can differ by an ulp; the class mean gives them one shared value.
-    return class_totals(numerator, profile) / profile.phi / denominator
+    return class_totals(numerator, profile) / profile.phi / weight.sum()
 
 
 _PER_CLASS = {
@@ -182,8 +181,8 @@ def parse_estimator(name: str) -> EstimatorSpec:
             const = float(text)
         except ValueError:
             raise ConfigurationError(f"unknown estimator '{name}': bad constant {text!r}") from None
-        if not const > 0:
-            raise ConfigurationError(f"unknown estimator '{name}': beta must be positive")
+        if not (math.isfinite(const) and const > 0):
+            raise ConfigurationError(f"unknown estimator '{name}': beta must be finite and positive")
         return EstimatorSpec("add-beta", name, beta_fn=lambda t, c=const: c)
     raise ConfigurationError(f"unknown estimator '{name}'")
 

@@ -3,16 +3,16 @@
 Trial i of any cell draws from the stream (master_seed, i), consuming first
 the prior draw (when the distribution is a redrawn prior) and then the
 sample. Estimators sharing a cell are evaluated on the same per-trial
-samples, which pairs the comparison and keeps reruns bit-identical no matter
-how trials are scheduled across threads. The streams are the ones
-make_generator builds; a cell derives their states a block at a time with
-stream_states and loads each into one reusable generator per worker thread.
+samples, which pairs the comparison. A cell runs its trials in order on one
+generator: the streams are the ones make_generator builds, derived a block
+at a time with stream_states and loaded in turn. run_experiment runs the
+(distribution, n) cells of a grid on a thread pool and assembles the records
+in config order, so reruns are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +30,7 @@ from .distributions import (
     validate_distribution,
 )
 from .divergence import entropy, natural_kl
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, InvalidParameterError
 from .estimators import EstimatorSpec, parse_estimator
 from .profile import class_totals, profile_from_counts
 
@@ -44,6 +44,10 @@ _MEMO_MAX_COUNT_VECTORS = 10_000
 # Largest trials per cell an entry point accepts: a cell's losses are then
 # 80 MB per estimator, and a larger count must fail before they exist.
 MAX_TRIALS = 10_000_000
+
+# Largest sample size an entry point accepts: one trial's n uniforms are then
+# 80 MB, and a larger n must fail before they exist.
+MAX_SAMPLE_SIZE = 10_000_000
 
 # Trial streams are derived this many at a time, so the table of stream
 # states stays small whatever the trial count.
@@ -70,6 +74,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         check_alphabet(self.k)
         _check_trials(self.trials)
+        for n in self.n_grid:
+            _check_sample_size(n)
         object.__setattr__(self, "master_seed", RngSeed(self.master_seed).seed)
         if not self.n_grid:
             raise ConfigurationError("n_grid must be nonempty")
@@ -101,13 +107,13 @@ def monte_carlo_regret(
     trials: int,
     master_seed: int,
     label: str = "custom",
-    workers: int = 1,
 ) -> RegretRecord:
     """Mean and standard error of KL(p, estimate) over seeded i.i.d. trials."""
     p = validate_distribution(p)
     if isinstance(estimator, str):
         estimator = parse_estimator(estimator)
     _check_trials(trials)
+    _check_sample_size(n)
     master_seed = RngSeed(master_seed).seed
     losses = _simulate_cell(
         fixed_p=p,
@@ -117,39 +123,49 @@ def monte_carlo_regret(
         n=n,
         trials=trials,
         master_seed=master_seed,
-        workers=workers,
     )
     return _aggregate(label, _estimator_name(estimator), int(p.size), n, trials, master_seed, losses[:, 0])
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RegretRecord]:
     """Evaluate every grid cell; records are ordered by the configured
-    distribution list, then estimator list, then n_grid."""
+    distribution list, then estimator list, then n_grid. Up to `workers`
+    (distribution, n) cells run at once; the first failing cell in config
+    order raises, as in a serial run, and cells not yet started are cancelled."""
     dist_specs = [parse_distribution(name) for name in config.distributions]
     est_specs = [parse_estimator(name) for name in config.estimators]
-    by_cell: dict[tuple[str, str, int], RegretRecord] = {}
-    for dist in dist_specs:
-        fixed_p = None
-        if not dist.is_prior:
-            fixed_p = dist.realize(config.k)
-        elif not config.redraw_prior_per_trial:
-            prior_rng = make_generator(RngSeed(config.master_seed, FIXED_PRIOR_STREAM))
-            fixed_p = dist.realize(config.k, prior_rng)
-        for n in config.n_grid:
-            losses = _simulate_cell(
-                fixed_p=fixed_p,
-                spec=dist,
-                estimators=est_specs,
-                k=config.k,
-                n=n,
-                trials=config.trials,
-                master_seed=config.master_seed,
-                workers=workers,
-            )
-            for j, est in enumerate(est_specs):
-                by_cell[(dist.name, est.name, n)] = _aggregate(
-                    dist.name, est.name, config.k, n, config.trials, config.master_seed, losses[:, j]
-                )
+
+    def cells():
+        # Fixed vectors are realized on the calling thread; a serial run
+        # keeps only the current distribution's vector alive.
+        for dist in dist_specs:
+            fixed_p = None
+            if not dist.is_prior:
+                fixed_p = dist.realize(config.k)
+            elif not config.redraw_prior_per_trial:
+                prior_rng = make_generator(RngSeed(config.master_seed, FIXED_PRIOR_STREAM))
+                fixed_p = dist.realize(config.k, prior_rng)
+            for n in config.n_grid:
+                yield dist, fixed_p, n
+
+    def run_cell(cell) -> list[RegretRecord]:
+        dist, fixed_p, n = cell
+        losses = _simulate_cell(fixed_p, dist, est_specs, config.k, n, config.trials, config.master_seed)
+        return [
+            _aggregate(dist.name, est.name, config.k, n, config.trials, config.master_seed, losses[:, j])
+            for j, est in enumerate(est_specs)
+        ]
+
+    pool_size = min(workers, len(dist_specs) * len(config.n_grid))
+    if pool_size < 2:
+        per_cell = list(map(run_cell, cells()))
+    else:
+        pool = ThreadPoolExecutor(max_workers=pool_size)
+        try:
+            per_cell = list(pool.map(run_cell, cells()))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    by_cell = {(r.distribution, r.estimator, r.n): r for records in per_cell for r in records}
     return [
         by_cell[(d, e, n)]
         for d in config.distributions
@@ -163,6 +179,13 @@ def _check_trials(trials: int) -> None:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise CapacityError(f"trials={trials} exceeds cap {MAX_TRIALS}")
+
+
+def _check_sample_size(n: int) -> None:
+    if n < 0:
+        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    if n > MAX_SAMPLE_SIZE:
+        raise CapacityError(f"sample size n={n} exceeds cap {MAX_SAMPLE_SIZE}")
 
 
 def _estimator_name(estimator) -> str:
@@ -179,7 +202,6 @@ def _simulate_cell(
     n: int,
     trials: int,
     master_seed: int,
-    workers: int,
 ) -> np.ndarray:
     """Per-trial losses as a (trials, len(estimators)) array, in trial order.
 
@@ -194,42 +216,31 @@ def _simulate_cell(
         fixed_h = entropy(fixed_p)
         if (
             k <= 64
-            and 0 <= n <= 64  # math.comb needs n >= 0; n <= 64 keeps it below bignum territory
+            and n <= 64  # keeps math.comb below bignum territory; callers reject n < 0
             and math.comb(n + k - 1, k - 1) <= _MEMO_MAX_COUNT_VECTORS
         ):
             memo = {}
 
-    generators = threading.local()  # one reusable generator per worker thread
-
-    def one_trial(stream) -> np.ndarray:
-        rng = getattr(generators, "rng", None)
-        if rng is None:
-            rng = generators.rng = np.random.Generator(np.random.PCG64())
-        load_stream(rng, stream)
-        if fixed_p is None:
-            p = validate_distribution(spec.realize(k, rng))
-            cdf, h = np.cumsum(p), entropy(p)
-        else:
-            p, cdf, h = fixed_p, fixed_cdf, fixed_h
-        counts = draw_counts(cdf, n, rng)
-        if memo is None:
-            return _evaluate(estimators, profile_from_counts(counts), p, h)
-        key = counts.tobytes()
-        row = memo.get(key)
-        if row is None:
-            row = memo[key] = _evaluate(estimators, profile_from_counts(counts), p, h)
-        return row
-
-    pool = ThreadPoolExecutor(max_workers=min(workers, trials)) if workers > 1 else None
+    rng = np.random.Generator(np.random.PCG64())  # loaded with each trial's stream in turn
     losses = np.empty((trials, len(estimators)))
-    try:
-        for start in range(0, trials, _STREAM_BLOCK):
-            stop = min(start + _STREAM_BLOCK, trials)
-            streams = stream_states(master_seed, np.arange(start, stop, dtype=np.uint64))
-            losses[start:stop] = list(pool.map(one_trial, streams) if pool else map(one_trial, streams))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for start in range(0, trials, _STREAM_BLOCK):
+        ids = np.arange(start, min(start + _STREAM_BLOCK, trials), dtype=np.uint64)
+        for i, stream in enumerate(stream_states(master_seed, ids), start):
+            load_stream(rng, stream)
+            if fixed_p is None:
+                p = validate_distribution(spec.realize(k, rng))
+                cdf, h = np.cumsum(p), entropy(p)
+            else:
+                p, cdf, h = fixed_p, fixed_cdf, fixed_h
+            counts = draw_counts(cdf, n, rng)
+            if memo is None:
+                losses[i] = _evaluate(estimators, profile_from_counts(counts), p, h)
+                continue
+            key = counts.tobytes()
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = _evaluate(estimators, profile_from_counts(counts), p, h)
+            losses[i] = row
     return losses
 
 

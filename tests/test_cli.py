@@ -9,10 +9,10 @@ import pytest
 import cde.cli
 import cde.oracle
 import cde.simulation
-from cde import ConfigurationError, DistributionSpec, ExperimentConfig, run_experiment
+from cde import CapacityError, ConfigurationError, DistributionSpec, ExperimentConfig, run_experiment
 from cde.cli import CSV_HEADER, main, parse_n_grid, read_csv, _fmt12, _workers_from_env
 from cde.distributions import MAX_ALPHABET
-from cde.simulation import MAX_TRIALS
+from cde.simulation import MAX_SAMPLE_SIZE, MAX_TRIALS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -182,14 +182,26 @@ EXIT_CODE_ROWS = [
     pytest.param(["simulate", "--k", "4", "--n-grid", "2", "--trials", str(MAX_TRIALS + 1), "--estimators",
                   "laplace", "--distributions", "uniform", "--out", "{out}"], {}, None, 4, "trials",
                  id="trials-cap"),
+    pytest.param(["simulate", "--k", "4", "--n-grid", str(MAX_SAMPLE_SIZE + 1), "--trials", "2", "--estimators",
+                  "laplace", "--distributions", "uniform", "--out", "{out}"], {}, None, 4, "sample size",
+                 id="sample-size-cap"),
+    pytest.param(["simulate", "--k", "4", "--n-grid", "1:2:10000000000", "--trials", "2", "--estimators",
+                  "laplace", "--distributions", "uniform", "--out", "{out}"], {}, None, 3, "count exceeds",
+                 id="n-grid-count"),
+    pytest.param(["simulate", "--k", "4", "--n-grid", "5", "--trials", "2", "--estimators", "laplace",
+                  "--distributions", "dirichlet:1e-300", "--out", "{out}"], {}, None, 3, "alpha=1e-300",
+                 id="dirichlet-underflow"),
+    pytest.param(["simulate", "--k", "4", "--n-grid", "5", "--trials", "2", "--estimators", "add-beta:inf",
+                  "--distributions", "uniform", "--out", "{out}"], {}, None, 3, "beta must be finite",
+                 id="add-beta-inf"),
 ]
 
 
 @pytest.mark.parametrize("argv, env, p_text, code, fragment", EXIT_CODE_ROWS)
 def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys, monkeypatch):
     # Over-cap rows must fail before the allocation they guard: anything of
-    # alphabet size, the enumerated count vectors or a cell's trials fails
-    # the test instead.
+    # alphabet size, the enumerated count vectors, a cell's trials or its
+    # sample size fails the test instead.
     realize, build_profile = DistributionSpec.realize, cde.cli.build_profile
     count_vectors, simulate_cell = cde.oracle._count_vectors, cde.simulation._simulate_cell
 
@@ -206,8 +218,9 @@ def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys,
         return count_vectors(k, n)
 
     def guarded_simulate_cell(*args, **kwargs):
-        trials = inspect.signature(simulate_cell).bind(*args, **kwargs).arguments["trials"]
-        assert trials <= MAX_TRIALS, f"simulated {trials} trials"
+        arguments = inspect.signature(simulate_cell).bind(*args, **kwargs).arguments
+        assert arguments["trials"] <= MAX_TRIALS, f"simulated {arguments['trials']} trials"
+        assert arguments["n"] <= MAX_SAMPLE_SIZE, f"simulated n={arguments['n']}"
         return simulate_cell(*args, **kwargs)
 
     monkeypatch.setattr(DistributionSpec, "realize", guarded_realize)
@@ -241,6 +254,16 @@ def test_parse_n_grid():
         parse_n_grid("5,abc")
     with pytest.raises(ConfigurationError):
         parse_n_grid("1:2:3:4")
+    # a count above the integers in the range would repeat a value
+    assert parse_n_grid("5:10:6") == (5, 6, 7, 8, 9, 10)
+    with pytest.raises(ConfigurationError, match="count exceeds"):
+        parse_n_grid("5:10:7")
+    with pytest.raises(ConfigurationError, match="count exceeds"):
+        parse_n_grid("10:5:7")
+    assert parse_n_grid(f"1:{MAX_SAMPLE_SIZE}:2") == (1, MAX_SAMPLE_SIZE)
+    for grid in (f"1:{MAX_SAMPLE_SIZE + 1}:2", f"{MAX_SAMPLE_SIZE + 1}:1:2", f"{10**12}:{10**12}:1"):
+        with pytest.raises(CapacityError):
+            parse_n_grid(grid)
 
 
 def test_estimate_competitive(tmp_path, capsys):

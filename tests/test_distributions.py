@@ -90,6 +90,9 @@ def test_dirichlet_rejects_bad_parameters():
         sample_dirichlet(0, 1.0, RngSeed(1))
     with pytest.raises(InvalidParameterError):
         sample_dirichlet(3, 0.0, RngSeed(1))
+    # every Gamma draw underflows to 0; the retries are bounded
+    with pytest.raises(InvalidParameterError, match="alpha=1e-300"):
+        sample_dirichlet(3, 1e-300, RngSeed(1))
 
 
 def test_dirichlet_deterministic_per_stream():
@@ -276,6 +279,9 @@ def test_parse_distribution_unknown_names():
         parse_distribution("zipf:-1")
     with pytest.raises(ConfigurationError):
         parse_distribution("dirichlet:abc")
+    for name, what in (("zipf:inf", "exponent"), ("dirichlet:inf", "alpha"), ("dirichlet:nan", "alpha")):
+        with pytest.raises(ConfigurationError, match=f"{what} must be finite and positive"):
+            parse_distribution(name)
 
 
 def test_prior_spec_needs_rng():

@@ -17,6 +17,7 @@ from cde import (
     kt_beta,
     laplace_beta,
     parse_estimator,
+    profile_from_counts,
     uniform,
 )
 
@@ -125,16 +126,21 @@ def test_permutation_oracle_hand_examples():
     np.testing.assert_allclose(
         apply_estimator("perm-oracle", _profile([1], 2), [0.7, 0.3]), [0.58, 0.42], rtol=1e-14
     )
+    # at n = 3000 the true labeling outweighs every other by a factor above e**120
+    p = np.array([0.2, 0.3, 0.5])
+    q = apply_estimator("perm-oracle", profile_from_counts(np.array([600, 900, 1500])), p)
+    np.testing.assert_allclose(q, p, rtol=0, atol=1e-12)
 
 
 def test_permutation_oracle_uniform_is_uniform():
     rng = np.random.default_rng(5)
     for k in (2, 3, 4):
-        n = int(rng.integers(1, 5))
-        sample = draw_sample(uniform(k), n, RngSeed(21, k))
-        np.testing.assert_allclose(
-            apply_estimator("perm-oracle", build_profile(sample), uniform(k)), uniform(k), rtol=1e-12
-        )
+        # at n = 2000 every relabeling's likelihood underflows a float64
+        for n in (int(rng.integers(1, 5)), 2000):
+            sample = draw_sample(uniform(k), n, RngSeed(21, k))
+            np.testing.assert_allclose(
+                apply_estimator("perm-oracle", build_profile(sample), uniform(k)), uniform(k), rtol=1e-12
+            )
 
 
 def test_permutation_oracle_caps_alphabet():
@@ -166,6 +172,9 @@ def test_parse_estimator_unknown():
         parse_estimator("add-beta:0")
     with pytest.raises(ConfigurationError):
         parse_estimator("add-beta:x")
+    for text in ("inf", "nan", "-inf"):
+        with pytest.raises(ConfigurationError, match="beta must be finite and positive"):
+            parse_estimator(f"add-beta:{text}")
 
 
 def test_apply_estimator_oracle_requires_p():

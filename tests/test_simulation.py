@@ -1,4 +1,6 @@
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +23,14 @@ from cde import (
     validate_distribution,
 )
 from cde.distributions import draw_counts
-from cde.simulation import _STREAM_BLOCK, FIXED_PRIOR_STREAM, MAX_TRIALS, _evaluate, _simulate_cell
+from cde.simulation import (
+    _STREAM_BLOCK,
+    FIXED_PRIOR_STREAM,
+    MAX_SAMPLE_SIZE,
+    MAX_TRIALS,
+    _evaluate,
+    _simulate_cell,
+)
 
 from support import random_distribution
 
@@ -114,12 +123,20 @@ STREAM_CELLS = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("cell", sorted(STREAM_CELLS))
 def test_simulate_cell_matches_make_generator_streams(cell, workers):
+    # `workers` copies of the cell run at once, as run_experiment runs cells
+    # on its thread pool; each must match the per-trial reference.
     fixed_p, spec, k, n, trials, master_seed = STREAM_CELLS[cell]()
     assert trials > _STREAM_BLOCK
     estimators = [parse_estimator(name) for name in ("laplace", "competitive", "best-natural")]
-    got = _simulate_cell(fixed_p, spec, estimators, k, n, trials, master_seed, workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = [
+            pool.submit(_simulate_cell, fixed_p, spec, estimators, k, n, trials, master_seed)
+            for _ in range(workers)
+        ]
+        got = [run.result() for run in runs]
     expected = _reference_losses(fixed_p, spec, estimators, k, n, trials, master_seed)
-    np.testing.assert_array_equal(got, expected)
+    for losses in got:
+        np.testing.assert_array_equal(losses, expected)
 
 
 def test_master_seed_integer_handling():
@@ -154,15 +171,29 @@ def test_trials_cap_fails_before_any_trial(monkeypatch):
         )
 
 
+def test_sample_size_cap_fails_before_any_trial(monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cde.simulation, "_simulate_cell", no_cell)
+    with pytest.raises(CapacityError, match="sample size"):
+        monte_carlo_regret([0.5, 0.5], "laplace", MAX_SAMPLE_SIZE + 1, 2, 0)
+    with pytest.raises(CapacityError, match="sample size"):
+        ExperimentConfig(
+            k=3, n_grid=(2, MAX_SAMPLE_SIZE + 1), trials=2, master_seed=0,
+            distributions=("uniform",), estimators=("laplace",),
+        )
+
+
 def test_negative_n_is_invalid_parameter():
     with pytest.raises(InvalidParameterError):
         monte_carlo_regret([0.5, 0.5], "laplace", -5, 10, 1)
-    config = ExperimentConfig(
-        k=3, n_grid=(-1,), trials=5, master_seed=0,
-        distributions=("dir1",), estimators=("laplace",),
-    )
-    with pytest.raises(InvalidParameterError):
-        run_experiment(config)
+    # the grid is checked when the config is built, before any cell runs
+    with pytest.raises(InvalidParameterError, match="n must be"):
+        ExperimentConfig(
+            k=3, n_grid=(-1,), trials=5, master_seed=0,
+            distributions=("dir1",), estimators=("laplace",),
+        )
 
 
 def test_run_experiment_shape_order_and_rerun():
@@ -222,15 +253,80 @@ def test_best_natural_dominates_on_shared_samples():
 
 
 def test_thread_count_does_not_change_records():
-    config = ExperimentConfig(
-        k=12,
-        n_grid=(5, 15),
+    # At k = 4 the fixed cells at n = 3 and 15 use the count-vector memo (20
+    # and 816 count vectors) and those at n = 40 do not; dir0.5 is redrawn
+    # per trial, then drawn once, and the last grid has a single cell.
+    grid = dict(
+        k=4,
+        n_grid=(3, 15, 40),
         trials=50,
         master_seed=13,
-        distributions=("uniform", "dir0.5"),
-        estimators=("laplace", "competitive", "best-natural"),
+        distributions=("uniform", "dir0.5", "zipf1"),
+        estimators=("laplace", "add-beta:2.5", "competitive", "best-natural"),
     )
-    assert run_experiment(config, workers=1) == run_experiment(config, workers=4)
+    configs = [
+        ExperimentConfig(**grid),
+        ExperimentConfig(**grid, redraw_prior_per_trial=False),
+        ExperimentConfig(**{**grid, "n_grid": (7,), "distributions": ("dir1",)}),
+    ]
+    for config in configs:
+        serial = run_experiment(config, workers=1)
+        for workers in (2, 4):
+            assert run_experiment(config, workers=workers) == serial, workers
+
+
+@pytest.mark.parametrize("workers, distributions, n_grid, expected_sizes", [
+    pytest.param(1, ("uniform", "zipf1"), (2, 4, 6), [], id="one-worker"),
+    pytest.param(4, ("uniform",), (2,), [], id="one-cell"),
+    pytest.param(2, ("uniform", "zipf1"), (2, 4, 6), [2], id="fewer-workers"),
+    pytest.param(4, ("uniform", "zipf1"), (2,), [2], id="fewer-cells"),
+    pytest.param(8, ("uniform", "zipf1"), (2, 4, 6), [6], id="as-many-cells"),
+])
+def test_cell_pool_size(monkeypatch, workers, distributions, n_grid, expected_sizes):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records its size, starts no thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            assert cancel_futures
+
+    monkeypatch.setattr(cde.simulation, "ThreadPoolExecutor", RecordingPool)
+    config = ExperimentConfig(
+        k=5, n_grid=n_grid, trials=3, master_seed=2,
+        distributions=distributions, estimators=("laplace", "kt"),
+    )
+    records = run_experiment(config, workers=workers)
+    assert sizes == expected_sizes
+    assert records == run_experiment(config)
+
+
+def test_failing_cell_cancels_cells_not_started(monkeypatch):
+    ran = []
+
+    def first_cell_fails(fixed_p, spec, estimators, k, n, trials, master_seed):
+        ran.append((spec.name, n))
+        if (spec.name, n) == ("uniform", 1):
+            raise InvalidParameterError("cell failed")
+        time.sleep(0.2)  # keeps the other cells running while the first one fails
+        return np.zeros((trials, len(estimators)))
+
+    monkeypatch.setattr(cde.simulation, "_simulate_cell", first_cell_fails)
+    config = ExperimentConfig(
+        k=5, n_grid=tuple(range(1, 21)), trials=2, master_seed=2,
+        distributions=("uniform", "zipf1"), estimators=("laplace",),
+    )
+    for workers, most_started in ((1, 1), (2, 4)):
+        ran.clear()
+        with pytest.raises(InvalidParameterError, match="cell failed"):
+            run_experiment(config, workers=workers)
+        assert ("uniform", 1) in ran and len(ran) <= most_started, ran
 
 
 def test_prior_cells_redraw_by_default():
