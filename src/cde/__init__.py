@@ -7,8 +7,6 @@ KL loss via exact small-instance enumeration and seeded Monte Carlo.
 from .distributions import (
     DistributionSpec,
     RngSeed,
-    Sample,
-    draw_sample,
     make_generator,
     parse_distribution,
     sample_dirichlet,
@@ -41,7 +39,6 @@ from .oracle import (
 )
 from .profile import (
     SampleProfile,
-    build_profile,
     class_totals,
     profile_from_counts,
 )
@@ -65,15 +62,12 @@ __all__ = [
     "InvalidParameterError",
     "RegretRecord",
     "RngSeed",
-    "Sample",
     "SampleProfile",
     "UndefinedEstimateError",
     "apply_estimator",
     "braess_sauer_beta",
-    "build_profile",
     "class_totals",
     "cross_entropy",
-    "draw_sample",
     "entropy",
     "exact_class_regret",
     "exact_expected_kl",

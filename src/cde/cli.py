@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .distributions import Sample, check_alphabet, parse_distribution, validate_distribution
+from .distributions import check_alphabet, parse_distribution, validate_distribution
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .estimators import apply_estimator, parse_estimator
 from .oracle import exact_expected_kl
-from .profile import build_profile
+from .profile import profile_from_counts
 from .simulation import MAX_SAMPLE_SIZE, ExperimentConfig, RegretRecord, run_experiment
 
 CSV_HEADER = "distribution,estimator,k,n,trials,seed,mean_kl_nats,stderr_nats,inf_trials"
@@ -117,9 +117,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     check_alphabet(args.k)
     spec = parse_estimator(args.estimator)
-    symbols = _read_symbols(args.sample, args.k)
-    sample = Sample(np.array(symbols, dtype=np.int64), args.k)
-    profile = build_profile(sample)
+    profile = profile_from_counts(_read_counts(args.sample, args.k))
     p = None
     if spec.requires_true_p:
         p = _resolve_true_p(args)
@@ -177,7 +175,8 @@ def _workers_from_env() -> int:
     return max(1, min(requested, cores))
 
 
-def _read_symbols(path: str, k: int) -> list[int]:
+def _read_counts(path: str, k: int) -> np.ndarray:
+    """Per-symbol counts of a file holding one symbol in [1..k] per line."""
     symbols = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -193,7 +192,7 @@ def _read_symbols(path: str, k: int) -> list[int]:
                     f"{path}:{lineno}: symbol {value} outside [1..{k}]"
                 )
             symbols.append(value)
-    return symbols
+    return np.bincount(np.array(symbols, dtype=np.int64), minlength=k + 1)[1:]
 
 
 def _read_probabilities(path: str) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Distribution constructors, Dirichlet prior draws, and seeded categorical sampling.
+"""Distribution constructors, Dirichlet prior draws, and seeded count draws.
 
 Symbols are 1-indexed integers in [1..k]. Distributions are plain float64
-probability vectors. All randomness is addressed by an :class:`RngSeed`,
-a (seed, stream_id) pair that deterministically selects one PCG64 stream,
-so every draw can be reproduced from its coordinates alone.
+probability vectors, and a sample is drawn as its per-symbol count vector.
+All randomness is addressed by an :class:`RngSeed`, a (seed, stream_id)
+pair that deterministically selects one PCG64 stream, so every draw can be
+reproduced from its coordinates alone.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ _MASK128 = 2**128 - 1
 
 
 def check_alphabet(k: int) -> None:
+    if k < 1:
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
     if k > MAX_ALPHABET:
         raise CapacityError(f"alphabet size k={k} exceeds cap {MAX_ALPHABET}")
 
@@ -158,29 +161,6 @@ def validate_distribution(probs) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class Sample:
-    """An i.i.d. sample: 1-indexed symbol indices plus the alphabet size."""
-
-    symbols: np.ndarray
-    alphabet_size: int
-
-    def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise InvalidParameterError("alphabet_size must be >= 1")
-        symbols = np.asarray(self.symbols, dtype=np.int64)
-        object.__setattr__(self, "symbols", symbols)
-        if symbols.ndim != 1:
-            raise InvalidParameterError("symbols must be a 1-d sequence")
-        if symbols.size and (symbols.min() < 1 or symbols.max() > self.alphabet_size):
-            raise InvalidParameterError(
-                f"symbol indices must lie in [1..{self.alphabet_size}]"
-            )
-
-    def __len__(self) -> int:
-        return int(self.symbols.size)
-
-
 def uniform(k: int) -> np.ndarray:
     """Uniform distribution over [1..k]."""
     if k < 1:
@@ -218,7 +198,11 @@ def sample_dirichlet(k: int, alpha: float, rng) -> np.ndarray:
     gen = _as_generator(rng)
     for _ in range(_DIRICHLET_ATTEMPTS):
         g = gen.gamma(alpha, 1.0, size=k)
-        total = g.sum()
+        with np.errstate(over="ignore"):
+            total = g.sum()
+        if math.isinf(total):  # huge alpha: rescaling first keeps the sum finite
+            g = g / g.max()
+            total = g.sum()
         if total > 0.0:  # guards against total underflow at tiny alpha
             return g / total
     raise InvalidParameterError(
@@ -227,30 +211,15 @@ def sample_dirichlet(k: int, alpha: float, rng) -> np.ndarray:
     )
 
 
-def draw_sample(p, n: int, rng) -> Sample:
-    """Draw n i.i.d. symbols from p by inverting the cumulative distribution."""
-    p = validate_distribution(p)
-    if n < 0:
-        raise InvalidParameterError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return Sample(np.empty(0, dtype=np.int64), p.size)
-    gen = _as_generator(rng)
-    cdf = np.cumsum(p)
-    u = gen.random(n)
-    # Dropping the final cdf entry keeps indices in range even when rounding
-    # leaves cumsum(p)[-1] slightly below 1.
-    idx = np.searchsorted(cdf[:-1], u, side="right")
-    return Sample(idx.astype(np.int64) + 1, p.size)
-
-
 def draw_counts(cdf: np.ndarray, n: int, rng) -> np.ndarray:
     """Per-symbol counts of n i.i.d. draws, where cdf is cumsum(p) of a
     validated distribution p.
 
-    Consumes the stream exactly as draw_sample does and returns exactly the
-    counts of its sample: a symbol's count is the number of uniforms between
-    its two cdf edges, so sorting the uniforms once lets k binary searches
-    replace n of them.
+    This is inverse-cdf sampling of the stream's next n uniforms: symbol j
+    counts the uniforms u with cdf[j - 1] <= u < cdf[j], and the last symbol
+    takes every u from cdf[-2] on, so a cdf whose rounding ends below 1
+    loses no draw. Sorting the uniforms once lets k binary searches replace
+    n of them.
     """
     if n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n}")

@@ -58,9 +58,16 @@ def _empirical(spec, profile: SampleProfile, p) -> np.ndarray:
 
 def _add_beta(spec, profile: SampleProfile, p) -> np.ndarray:
     """Smoothed counts (t + beta(t)) / N, N normalizing over all k symbols."""
-    betas = np.array([float(spec.beta_fn(t)) for t in profile.ts.tolist()])
-    if (betas <= 0.0).any() or float(spec.beta_fn(0)) <= 0.0:
+    betas = [float(spec.beta_fn(t)) for t in profile.ts.tolist()]
+    if min(betas) <= 0.0 or float(spec.beta_fn(0)) <= 0.0:
         raise InvalidParameterError("beta(t) must be positive for every count value")
+    top = max(betas)
+    betas = np.array(betas)
+    # sum(phi * beta) <= k * max(beta); where that bound overflows, dividing
+    # every term by the largest beta gives the same estimate in range.
+    if math.isinf(profile.n + profile.k * top):
+        betas = betas / top
+        return (profile.ts / top + betas) / (profile.n / top + float((profile.phi * betas).sum()))
     norm = profile.n + float((profile.phi * betas).sum())
     return (profile.ts + betas) / norm
 

@@ -4,7 +4,8 @@ Every estimator here is "natural": it assigns one probability per count
 class. The statistics that matter are therefore the per-symbol counts, the
 prevalence of each count value (how many symbols were seen exactly t times),
 and, when the true distribution is known, the true probability mass sitting
-in each count class.
+in each count class. So a sample enters the library only as its count
+vector, and profile_from_counts is the one way to profile it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Sample
 from .errors import InvalidParameterError
 
 
@@ -49,12 +49,6 @@ def profile_from_counts(counts) -> SampleProfile:
         ts=ts,
         phi=occurrences[ts],
     )
-
-
-def build_profile(sample: Sample) -> SampleProfile:
-    """Count each symbol's occurrences and tabulate the prevalences."""
-    counts = np.bincount(sample.symbols, minlength=sample.alphabet_size + 1)[1:]
-    return profile_from_counts(counts)
 
 
 def class_totals(values, profile: SampleProfile) -> np.ndarray:

@@ -70,8 +70,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
         check_alphabet(self.k)
         _check_trials(self.trials)
         for n in self.n_grid:

@@ -14,11 +14,9 @@ import numpy as np
 
 from cde import (
     RngSeed,
-    Sample,
     apply_estimator,
-    build_profile,
     class_totals,
-    draw_sample,
+    profile_from_counts,
     sample_dirichlet,
     step,
     uniform,
@@ -26,7 +24,7 @@ from cde import (
 )
 from cde.cli import main as cli_main
 
-from support import random_distribution
+from support import random_distribution, sampled_profile
 
 ESTIMATOR_NAMES = (
     "empirical",
@@ -56,7 +54,7 @@ def check_distribution_validity() -> str:
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 12))
         p = random_distribution(rng, k)
-        profile = build_profile(draw_sample(p, n, RngSeed(803, case)))
+        profile = sampled_profile(p, n, RngSeed(803, case))
         for name in ESTIMATOR_NAMES:
             q = apply_estimator(name, profile, p)
             assert np.all(q >= 0.0)
@@ -74,7 +72,7 @@ def check_naturalness() -> str:
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 15))
         p = random_distribution(rng, k)
-        profile = build_profile(draw_sample(p, n, RngSeed(811, case)))
+        profile = sampled_profile(p, n, RngSeed(811, case))
         for name in ESTIMATOR_NAMES:
             q = apply_estimator(name, profile, p)
             for t in profile.ts:
@@ -91,12 +89,13 @@ def check_permutation_equivariance() -> str:
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 10))
         p = random_distribution(rng, k)
-        symbols = draw_sample(p, n, RngSeed(821, case)).symbols
+        profile = sampled_profile(p, n, RngSeed(821, case))
         relabel = rng.permutation(k)
         p_new = np.empty(k)
         p_new[relabel] = p
-        profile = build_profile(Sample(symbols, k))
-        permuted = build_profile(Sample(relabel[symbols - 1] + 1, k))
+        counts_new = np.empty(k, dtype=np.int64)
+        counts_new[relabel] = profile.counts
+        permuted = profile_from_counts(counts_new)
         for name in ESTIMATOR_NAMES:
             q = apply_estimator(name, profile, p)
             q_new = apply_estimator(name, permuted, p_new)
@@ -111,7 +110,7 @@ def check_profile_identities() -> str:
         k = int(rng.integers(1, 51))
         n = int(rng.integers(0, 201))
         p = random_distribution(rng, k)
-        profile = build_profile(draw_sample(p, n, RngSeed(831, case)))
+        profile = sampled_profile(p, n, RngSeed(831, case))
         assert profile.counts.sum() == n
         assert profile.phi.sum() == k
         assert int(np.sum(profile.ts * profile.phi)) == n
@@ -128,7 +127,7 @@ def check_competitive_unseen_class() -> str:
     for case in range(300):
         k = int(rng.integers(2, 40))
         n = int(rng.integers(1, 50))
-        profile = build_profile(draw_sample(random_distribution(rng, k), n, RngSeed(841, case)))
+        profile = sampled_profile(random_distribution(rng, k), n, RngSeed(841, case))
         if not (profile.counts == 0).any():
             continue
         q = apply_estimator("competitive", profile)
@@ -161,9 +160,9 @@ def check_seeded_csv_determinism() -> str:
 def check_sampling_determinism() -> str:
     for case in range(50):
         p = random_distribution(np.random.default_rng(case), 5)
-        a = draw_sample(p, 64, RngSeed(7, case))
-        b = draw_sample(p, 64, RngSeed(7, case))
-        assert np.array_equal(a.symbols, b.symbols)
+        a = sampled_profile(p, 64, RngSeed(7, case))
+        b = sampled_profile(p, 64, RngSeed(7, case))
+        assert np.array_equal(a.counts, b.counts)
     return "50 sampling determinism cases"
 
 

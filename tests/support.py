@@ -8,7 +8,18 @@ import math
 
 import numpy as np
 
-from cde import Sample, apply_estimator, build_profile, kl
+from cde import apply_estimator, kl, profile_from_counts, validate_distribution
+from cde.distributions import draw_counts
+
+
+def sampled_profile(p, n: int, rng):
+    """Profile of n i.i.d. draws from p on the stream rng, as simulate draws them."""
+    return profile_from_counts(draw_counts(np.cumsum(validate_distribution(p)), n, rng))
+
+
+def symbol_profile(symbols, k: int):
+    """Profile of a sequence of 1-indexed symbols over [1..k]."""
+    return profile_from_counts(np.bincount(np.asarray(symbols, dtype=np.int64), minlength=k + 1)[1:])
 
 
 def random_distribution(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -50,7 +61,7 @@ def expected_kl_by_sequences(p, estimator, n: int) -> float:
             weight *= p[s - 1]
         if weight == 0.0:
             continue
-        profile = build_profile(Sample(np.array(seq, dtype=np.int64), k))
+        profile = symbol_profile(seq, k)
         total += weight * kl(p, apply_estimator(estimator, profile, p))
     return total
 

@@ -15,7 +15,7 @@ import cde
 from cde.cli import parse_n_grid
 
 import _invariant_suite as suite
-from support import expected_kl_add_constant, make_natural_estimator, random_distribution
+from support import expected_kl_add_constant, make_natural_estimator, random_distribution, sampled_profile
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -46,8 +46,7 @@ def test_criterion_1_exact_identity_suite():
                 assert value >= floor - 1e-12, (k, n, tag, value, floor)
                 natural_rivals += 1
             # per-sequence loss decomposition on a drawn sample
-            sample = cde.draw_sample(p, n, cde.RngSeed(55, index * 7 + n))
-            profile = cde.build_profile(sample)
+            profile = sampled_profile(p, n, cde.RngSeed(55, index * 7 + n))
             q = cde.apply_estimator(make_natural_estimator(index), profile, p)
             q_star = cde.apply_estimator("best-natural", profile, p)
             lhs = cde.cross_entropy(p, q) - cde.cross_entropy(p, q_star)

@@ -1,4 +1,11 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import cde
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
     "CapacityError",
@@ -11,15 +18,12 @@ PUBLIC_NAMES = [
     "InvalidParameterError",
     "RegretRecord",
     "RngSeed",
-    "Sample",
     "SampleProfile",
     "UndefinedEstimateError",
     "apply_estimator",
     "braess_sauer_beta",
-    "build_profile",
     "class_totals",
     "cross_entropy",
-    "draw_sample",
     "entropy",
     "exact_class_regret",
     "exact_expected_kl",
@@ -49,3 +53,16 @@ def test_public_surface():
     # class masses are plain arrays from class_totals; their wrappers are gone
     for name in ("CombinedMass", "combined_mass", "combined_kl"):
         assert name not in cde.__all__ and not hasattr(cde, name), name
+    # a sample enters only as a count vector; the symbol-sequence path is gone
+    for name in ("Sample", "draw_sample", "build_profile"):
+        assert name not in cde.__all__ and not hasattr(cde, name), name
+
+
+def test_readme_quickstart_runs():
+    text = README.read_text(encoding="utf-8")
+    quickstart = text[text.index("## Library quickstart") :]
+    block = re.search(r"```python\n(.*?)```", quickstart, re.DOTALL).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(block, str(README), "exec"), {})
+    assert len(printed.getvalue().splitlines()) == 4

@@ -194,6 +194,17 @@ EXIT_CODE_ROWS = [
     pytest.param(["simulate", "--k", "4", "--n-grid", "5", "--trials", "2", "--estimators", "add-beta:inf",
                   "--distributions", "uniform", "--out", "{out}"], {}, None, 3, "beta must be finite",
                  id="add-beta-inf"),
+    # the Gamma sum overflows a float64 and is rescaled
+    pytest.param(["simulate", "--k", "100", "--n-grid", "5", "--trials", "3", "--estimators", "laplace",
+                  "--distributions", "dirichlet:1e308", "--out", "{out}"], {}, None, 0, "",
+                 id="dirichlet-overflow"),
+    pytest.param(["simulate", "--k", "0", "--n-grid", "5", "--trials", "2", "--estimators", "laplace",
+                  "--distributions", "uniform", "--out", "{out}"], {}, None, 3, "k must be >= 1",
+                 id="simulate-zero-k"),
+    pytest.param(["estimate", "--k", "0", "--estimator", "laplace", "--sample", "{p}"], {}, "1\n", 3,
+                 "k must be >= 1", id="estimate-zero-k"),
+    pytest.param(["exact", "--k", "0", "--n", "1", "--estimator", "laplace", "--dist", "uniform"], {}, None, 3,
+                 "k must be >= 1", id="exact-zero-k"),
 ]
 
 
@@ -202,16 +213,16 @@ def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys,
     # Over-cap rows must fail before the allocation they guard: anything of
     # alphabet size, the enumerated count vectors, a cell's trials or its
     # sample size fails the test instead.
-    realize, build_profile = DistributionSpec.realize, cde.cli.build_profile
+    realize, read_counts = DistributionSpec.realize, cde.cli._read_counts
     count_vectors, simulate_cell = cde.oracle._count_vectors, cde.simulation._simulate_cell
 
     def guarded_realize(self, k, rng=None):
         assert k <= MAX_ALPHABET, f"realized a distribution over k={k}"
         return realize(self, k, rng)
 
-    def guarded_build_profile(sample):
-        assert sample.alphabet_size <= MAX_ALPHABET, f"profiled k={sample.alphabet_size}"
-        return build_profile(sample)
+    def guarded_read_counts(path, k):
+        assert k <= MAX_ALPHABET, f"counted a sample over k={k}"
+        return read_counts(path, k)
 
     def guarded_count_vectors(k, n):
         assert k * math.comb(n + k - 1, n) <= cde.oracle.DEFAULT_SEQUENCE_CAP, (k, n)
@@ -224,7 +235,7 @@ def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys,
         return simulate_cell(*args, **kwargs)
 
     monkeypatch.setattr(DistributionSpec, "realize", guarded_realize)
-    monkeypatch.setattr(cde.cli, "build_profile", guarded_build_profile)
+    monkeypatch.setattr(cde.cli, "_read_counts", guarded_read_counts)
     monkeypatch.setattr(cde.oracle, "_count_vectors", guarded_count_vectors)
     monkeypatch.setattr(cde.simulation, "_simulate_cell", guarded_simulate_cell)
     monkeypatch.delenv("CDE_THREADS", raising=False)
@@ -240,6 +251,8 @@ def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys,
     assert fragment in err
     if code:
         assert stdout == "" and not out.exists()
+    elif argv[0] == "simulate":
+        assert math.isfinite(float(out.read_text().splitlines()[1].split(",")[6]))
     else:
         assert math.isfinite(float(stdout))
 
@@ -314,13 +327,16 @@ def test_estimate_empty_sample_competitive_exit_3(tmp_path, capsys):
 
 
 def test_estimate_symbol_out_of_range_exit_3(tmp_path, capsys):
-    sample = tmp_path / "bad.txt"
-    sample.write_text("1\n4\n")
-    code, _, err = run_cli(
-        ["estimate", "--estimator", "laplace", "--k", "3", "--sample", str(sample)],
-        capsys,
-    )
-    assert code == 3 and "outside" in err
+    # symbols are 1-indexed, so 0 is as far out of range as k + 1
+    for text in ("1\n4\n", "0\n1\n"):
+        sample = tmp_path / "bad.txt"
+        sample.write_text(text)
+        code, out, err = run_cli(
+            ["estimate", "--estimator", "laplace", "--k", "3", "--sample", str(sample)],
+            capsys,
+        )
+        assert (code, out) == (3, ""), text
+        assert "outside [1..3]" in err, text
 
 
 def test_estimate_oracle_needs_true_distribution(tmp_path, capsys):

@@ -5,8 +5,6 @@ from cde import (
     ConfigurationError,
     InvalidParameterError,
     RngSeed,
-    Sample,
-    draw_sample,
     make_generator,
     validate_distribution,
     parse_distribution,
@@ -17,6 +15,8 @@ from cde import (
 )
 from cde.distributions import draw_counts, load_stream, stream_states
 from cde.simulation import FIXED_PRIOR_STREAM
+
+from support import sampled_profile
 
 VALIDITY_KS = [1, 2, 3, 10, 100, 10000]
 
@@ -117,35 +117,34 @@ def test_dirichlet_mean_alpha_half():
 
 
 def test_draw_sample_point_mass():
-    sample = draw_sample([1.0, 0.0], 5, RngSeed(1, 0))
-    np.testing.assert_array_equal(sample.symbols, [1, 1, 1, 1, 1])
-    sample = draw_sample([0.0, 1.0], 5, RngSeed(1, 0))
-    np.testing.assert_array_equal(sample.symbols, [2, 2, 2, 2, 2])
+    np.testing.assert_array_equal(sampled_profile([1.0, 0.0], 5, RngSeed(1, 0)).counts, [5, 0])
+    np.testing.assert_array_equal(sampled_profile([0.0, 1.0], 5, RngSeed(1, 0)).counts, [0, 5])
 
 
 def test_draw_sample_empty():
-    sample = draw_sample(uniform(3), 0, RngSeed(2, 0))
-    assert len(sample) == 0
-    assert sample.alphabet_size == 3
+    gen = make_generator(RngSeed(2, 0))
+    np.testing.assert_array_equal(sampled_profile(uniform(3), 0, gen).counts, [0, 0, 0])
+    # an empty sample consumes nothing from its stream
+    assert gen.random() == make_generator(RngSeed(2, 0)).random()
 
 
 def test_draw_sample_deterministic_per_stream():
-    a = draw_sample(uniform(4), 100, RngSeed(9, 5))
-    b = draw_sample(uniform(4), 100, RngSeed(9, 5))
-    c = draw_sample(uniform(4), 100, RngSeed(9, 6))
-    np.testing.assert_array_equal(a.symbols, b.symbols)
-    assert not np.array_equal(a.symbols, c.symbols)
+    a = sampled_profile(uniform(4), 100, RngSeed(9, 5)).counts
+    b = sampled_profile(uniform(4), 100, RngSeed(9, 5)).counts
+    c = sampled_profile(uniform(4), 100, RngSeed(9, 6)).counts
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_draw_sample_frequencies():
-    sample = draw_sample(uniform(4), 1_000_000, RngSeed(31, 0))
-    freqs = np.bincount(sample.symbols, minlength=5)[1:] / 1_000_000
-    np.testing.assert_allclose(freqs, 0.25, atol=0.005)
+    counts = sampled_profile(uniform(4), 1_000_000, RngSeed(31, 0)).counts
+    assert counts.sum() == 1_000_000
+    np.testing.assert_allclose(counts / 1_000_000, 0.25, atol=0.005)
 
 
 def test_draw_sample_skips_zero_probability_symbols():
-    sample = draw_sample([0.5, 0.0, 0.5], 20_000, RngSeed(17, 0))
-    assert not np.any(sample.symbols == 2)
+    counts = sampled_profile([0.5, 0.0, 0.5], 20_000, RngSeed(17, 0)).counts
+    assert counts[1] == 0 and counts.sum() == 20_000
 
 
 def _sampler_cases():
@@ -168,17 +167,21 @@ def _sampler_cases():
         yield p / p.sum(), int(rng.integers(0, 400))
 
 
-def test_draw_counts_equals_counts_of_draw_sample():
+def test_draw_counts_equals_inverse_cdf_sampling():
+    # The reference draws each symbol by inverting the cdf at one uniform.
+    # Dropping the last cdf entry keeps its indices in range when rounding
+    # leaves cumsum(p)[-1] below 1.
     cases = list(_sampler_cases())
     assert len(cases) >= 300
     assert np.cumsum(uniform(27))[-1] == 1.0 - 6 * 2.0**-53
     for i, (p, n) in enumerate(cases):
         p = validate_distribution(p)
+        cdf = np.cumsum(p)
         by_counts = make_generator(RngSeed(4242, i))
         by_sample = make_generator(RngSeed(4242, i))
-        counts = draw_counts(np.cumsum(p), n, by_counts)
-        symbols = draw_sample(p, n, by_sample).symbols
-        expected = np.bincount(symbols, minlength=p.size + 1)[1:]
+        counts = draw_counts(cdf, n, by_counts)
+        symbols = np.searchsorted(cdf[:-1], by_sample.random(n), side="right")
+        expected = np.bincount(symbols, minlength=p.size)
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, expected, err_msg=f"case {i}")
         # both leave the stream at the same place
@@ -197,13 +200,6 @@ def test_draw_counts_rejects_negative_n():
 def test_validate_distribution_rejects_non_finite(bad):
     with pytest.raises(InvalidParameterError, match="nan|inf|nonnegative"):
         validate_distribution(bad)
-
-
-def test_sample_validates_symbol_range():
-    with pytest.raises(InvalidParameterError):
-        Sample(np.array([0]), 3)
-    with pytest.raises(InvalidParameterError):
-        Sample(np.array([4]), 3)
 
 
 def test_rng_seed_validates_range():

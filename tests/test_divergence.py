@@ -7,10 +7,8 @@ from cde import (
     InvalidParameterError,
     RngSeed,
     apply_estimator,
-    build_profile,
     class_totals,
     cross_entropy,
-    draw_sample,
     entropy,
     kl,
     parse_estimator,
@@ -19,7 +17,7 @@ from cde import (
 )
 from cde.divergence import natural_kl
 
-from support import make_natural_estimator, random_distribution
+from support import make_natural_estimator, random_distribution, sampled_profile
 
 
 def test_kl_identity_is_zero():
@@ -111,8 +109,7 @@ def test_loss_difference_equals_class_mass_divergence():
         k = int(rng.integers(2, 9))
         n = int(rng.integers(1, 13))
         p = random_distribution(rng, k)
-        sample = draw_sample(p, n, RngSeed(700, case))
-        profile = build_profile(sample)
+        profile = sampled_profile(p, n, RngSeed(700, case))
         q = apply_estimator(make_natural_estimator(case), profile, p)
         q_star = apply_estimator("best-natural", profile, p)
         lhs = cross_entropy(p, q) - cross_entropy(p, q_star)

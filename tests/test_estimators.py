@@ -7,13 +7,11 @@ from cde import (
     EstimatorSpec,
     InvalidParameterError,
     RngSeed,
-    Sample,
     UndefinedEstimateError,
     apply_estimator,
     braess_sauer_beta,
-    build_profile,
     cross_entropy,
-    draw_sample,
+    kl,
     kt_beta,
     laplace_beta,
     parse_estimator,
@@ -21,27 +19,23 @@ from cde import (
     uniform,
 )
 
-from support import make_natural_estimator, random_distribution
-
-
-def _profile(symbols, k):
-    return build_profile(Sample(np.array(symbols, dtype=np.int64), k))
+from support import make_natural_estimator, random_distribution, sampled_profile, symbol_profile
 
 
 def test_empirical_relative_frequencies():
     np.testing.assert_allclose(
-        apply_estimator("empirical", _profile([1, 1, 2], 3)), [2 / 3, 1 / 3, 0.0], rtol=1e-15
+        apply_estimator("empirical", symbol_profile([1, 1, 2], 3)), [2 / 3, 1 / 3, 0.0], rtol=1e-15
     )
-    np.testing.assert_array_equal(apply_estimator("empirical", _profile([1], 2)), [1.0, 0.0])
+    np.testing.assert_array_equal(apply_estimator("empirical", symbol_profile([1], 2)), [1.0, 0.0])
 
 
 def test_empirical_undefined_for_empty_sample():
     with pytest.raises(UndefinedEstimateError):
-        apply_estimator("empirical", _profile([], 3))
+        apply_estimator("empirical", symbol_profile([], 3))
 
 
 def test_add_beta_presets_by_hand():
-    profile = _profile([1, 1, 2], 3)
+    profile = symbol_profile([1, 1, 2], 3)
     # Laplace: (t + 1) / (n + k)
     np.testing.assert_allclose(apply_estimator("laplace", profile), [3 / 6, 2 / 6, 1 / 6], rtol=1e-15)
     # Krichevsky-Trofimov: (t + 1/2) / (n + k/2)
@@ -52,8 +46,18 @@ def test_add_beta_presets_by_hand():
     )
 
 
+def test_add_beta_huge_constant_stays_finite():
+    # k * beta overflows a float64; the estimate is then within an ulp of uniform
+    p = uniform(100)
+    profile = sampled_profile(p, 5, RngSeed(48, 0))
+    q = apply_estimator("add-beta:1e308", profile)
+    np.testing.assert_allclose(q, p, rtol=1e-14)
+    loss = kl(p, q)
+    assert 0.0 <= loss <= 1e-12
+
+
 def test_add_beta_rejects_nonpositive_beta():
-    profile = _profile([1, 1, 2], 3)
+    profile = symbol_profile([1, 1, 2], 3)
     with pytest.raises(InvalidParameterError):
         apply_estimator(EstimatorSpec("add-beta", "zero", beta_fn=lambda t: 0.0), profile)
     with pytest.raises(InvalidParameterError):
@@ -64,19 +68,19 @@ def test_add_beta_rejects_nonpositive_beta():
 
 def test_competitive_hand_examples():
     np.testing.assert_allclose(
-        apply_estimator("competitive", _profile([1, 1, 2], 3)), [0.4, 0.4, 0.2], rtol=1e-15
+        apply_estimator("competitive", symbol_profile([1, 1, 2], 3)), [0.4, 0.4, 0.2], rtol=1e-15
     )
     # all counts 1 and no pair class: every symbol takes its raw count
     np.testing.assert_allclose(
-        apply_estimator("competitive", _profile([1, 2, 3], 3)), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15
+        apply_estimator("competitive", symbol_profile([1, 2, 3], 3)), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15
     )
     # single observation: seen symbol keeps count 1, unseen gets max(phi1,1)/phi0
-    np.testing.assert_allclose(apply_estimator("competitive", _profile([1], 2)), [0.5, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(apply_estimator("competitive", symbol_profile([1], 2)), [0.5, 0.5], rtol=1e-15)
 
 
 def test_competitive_undefined_for_empty_sample():
     with pytest.raises(UndefinedEstimateError):
-        apply_estimator("competitive", _profile([], 2))
+        apply_estimator("competitive", symbol_profile([], 2))
 
 
 def test_competitive_unseen_class_value():
@@ -84,8 +88,7 @@ def test_competitive_unseen_class_value():
     for case in range(200):
         k = int(rng.integers(2, 30))
         n = int(rng.integers(1, 60))
-        sample = draw_sample(random_distribution(rng, k), n, RngSeed(61, case))
-        profile = build_profile(sample)
+        profile = sampled_profile(random_distribution(rng, k), n, RngSeed(61, case))
         phi0 = int((profile.counts == 0).sum())
         if phi0 == 0:
             continue
@@ -100,31 +103,31 @@ def test_competitive_unseen_class_value():
 
 
 def test_best_natural_hand_examples():
-    profile = _profile([1, 1, 2], 3)
+    profile = symbol_profile([1, 1, 2], 3)
     np.testing.assert_allclose(
         apply_estimator("best-natural", profile, [0.5, 0.3, 0.2]), [0.5, 0.3, 0.2], rtol=1e-15
     )
     np.testing.assert_array_equal(
-        apply_estimator("best-natural", _profile([1], 2), [1.0, 0.0]), [1.0, 0.0]
+        apply_estimator("best-natural", symbol_profile([1], 2), [1.0, 0.0]), [1.0, 0.0]
     )
     np.testing.assert_allclose(
-        apply_estimator("best-natural", _profile([1], 2), uniform(2)), [0.5, 0.5], rtol=1e-15
+        apply_estimator("best-natural", symbol_profile([1], 2), uniform(2)), [0.5, 0.5], rtol=1e-15
     )
 
 
 def test_best_natural_dimension_mismatch():
     with pytest.raises(InvalidParameterError):
-        apply_estimator("best-natural", _profile([1, 1, 2], 3), [0.5, 0.5])
+        apply_estimator("best-natural", symbol_profile([1, 1, 2], 3), [0.5, 0.5])
 
 
 def test_permutation_oracle_hand_examples():
     # constant distribution is identified exactly from one draw
     np.testing.assert_array_equal(
-        apply_estimator("perm-oracle", _profile([1], 2), [1.0, 0.0]), [1.0, 0.0]
+        apply_estimator("perm-oracle", symbol_profile([1], 2), [1.0, 0.0]), [1.0, 0.0]
     )
     # both relabelings enumerated by hand: (0.49 + 0.09, 0.21 + 0.21)
     np.testing.assert_allclose(
-        apply_estimator("perm-oracle", _profile([1], 2), [0.7, 0.3]), [0.58, 0.42], rtol=1e-14
+        apply_estimator("perm-oracle", symbol_profile([1], 2), [0.7, 0.3]), [0.58, 0.42], rtol=1e-14
     )
     # at n = 3000 the true labeling outweighs every other by a factor above e**120
     p = np.array([0.2, 0.3, 0.5])
@@ -137,20 +140,20 @@ def test_permutation_oracle_uniform_is_uniform():
     for k in (2, 3, 4):
         # at n = 2000 every relabeling's likelihood underflows a float64
         for n in (int(rng.integers(1, 5)), 2000):
-            sample = draw_sample(uniform(k), n, RngSeed(21, k))
+            profile = sampled_profile(uniform(k), n, RngSeed(21, k))
             np.testing.assert_allclose(
-                apply_estimator("perm-oracle", build_profile(sample), uniform(k)), uniform(k), rtol=1e-12
+                apply_estimator("perm-oracle", profile, uniform(k)), uniform(k), rtol=1e-12
             )
 
 
 def test_permutation_oracle_caps_alphabet():
     with pytest.raises(CapacityError):
-        apply_estimator("perm-oracle", _profile([1], 7), uniform(7))
+        apply_estimator("perm-oracle", symbol_profile([1], 7), uniform(7))
 
 
 def test_permutation_oracle_impossible_sample():
     with pytest.raises(UndefinedEstimateError):
-        apply_estimator("perm-oracle", _profile([1, 2], 2), [1.0, 0.0])
+        apply_estimator("perm-oracle", symbol_profile([1, 2], 2), [1.0, 0.0])
 
 
 def test_parse_estimator_names():
@@ -178,7 +181,7 @@ def test_parse_estimator_unknown():
 
 
 def test_apply_estimator_oracle_requires_p():
-    profile = _profile([1, 1, 2], 3)
+    profile = symbol_profile([1, 1, 2], 3)
     with pytest.raises(InvalidParameterError):
         apply_estimator("best-natural", profile)
     with pytest.raises(InvalidParameterError):
@@ -196,7 +199,7 @@ def test_outputs_are_distributions():
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 12))
         p = random_distribution(rng, k)
-        profile = build_profile(draw_sample(p, n, RngSeed(44, case)))
+        profile = sampled_profile(p, n, RngSeed(44, case))
         for name in _ALL_NAMES:
             q = apply_estimator(name, profile, p)
             assert abs(q.sum() - 1.0) <= 1e-9
@@ -211,7 +214,7 @@ def test_naturalness_exact():
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 12))
         p = random_distribution(rng, k)
-        profile = build_profile(draw_sample(p, n, RngSeed(45, case)))
+        profile = sampled_profile(p, n, RngSeed(45, case))
         for name in _ALL_NAMES:
             q = apply_estimator(name, profile, p)
             for t in profile.ts:
@@ -225,7 +228,7 @@ def test_best_natural_minimizes_log_loss_per_sequence():
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 10))
         p = random_distribution(rng, k)
-        profile = build_profile(draw_sample(p, n, RngSeed(46, case)))
+        profile = sampled_profile(p, n, RngSeed(46, case))
         oracle_loss = cross_entropy(p, apply_estimator("best-natural", profile, p))
         for tag in range(5):
             rival = apply_estimator(make_natural_estimator(case * 10 + tag), profile, p)
@@ -238,12 +241,13 @@ def test_permutation_equivariance():
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 9))
         p = random_distribution(rng, k)
-        symbols = draw_sample(p, n, RngSeed(47, case)).symbols
+        profile = sampled_profile(p, n, RngSeed(47, case))
         relabel = rng.permutation(k)  # 0-indexed: old i -> new relabel[i]
         p_new = np.empty(k)
         p_new[relabel] = p
-        profile = build_profile(Sample(symbols, k))
-        permuted = build_profile(Sample(relabel[symbols - 1] + 1, k))
+        counts_new = np.empty(k, dtype=np.int64)
+        counts_new[relabel] = profile.counts
+        permuted = profile_from_counts(counts_new)
         for name in _ALL_NAMES:
             q = apply_estimator(name, profile, p)
             q_new = apply_estimator(name, permuted, p_new)

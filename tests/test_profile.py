@@ -1,22 +1,14 @@
 import numpy as np
 import pytest
 
-from cde import (
-    InvalidParameterError,
-    RngSeed,
-    Sample,
-    build_profile,
-    class_totals,
-    draw_sample,
-    profile_from_counts,
-)
+from cde import InvalidParameterError, RngSeed, class_totals, profile_from_counts
 
-from support import random_distribution
+from support import random_distribution, sampled_profile, symbol_profile
 
 
 def test_profile_repeated_symbols():
     # a,b,c,a,b,d,e encoded over a 5-symbol alphabet
-    profile = build_profile(Sample(np.array([1, 2, 3, 1, 2, 4, 5]), 5))
+    profile = symbol_profile([1, 2, 3, 1, 2, 4, 5], 5)
     np.testing.assert_array_equal(profile.counts, [2, 2, 1, 1, 1])
     np.testing.assert_array_equal(profile.ts, [1, 2])
     np.testing.assert_array_equal(profile.phi, [3, 2])
@@ -24,7 +16,7 @@ def test_profile_repeated_symbols():
 
 
 def test_profile_empty_sample():
-    profile = build_profile(Sample(np.array([], dtype=np.int64), 3))
+    profile = symbol_profile([], 3)
     np.testing.assert_array_equal(profile.counts, [0, 0, 0])
     np.testing.assert_array_equal(profile.ts, [0])
     np.testing.assert_array_equal(profile.phi, [3])
@@ -32,14 +24,14 @@ def test_profile_empty_sample():
 
 
 def test_profile_direct_counting():
-    profile = build_profile(Sample(np.array([1, 1, 2]), 3))
+    profile = symbol_profile([1, 1, 2], 3)
     np.testing.assert_array_equal(profile.counts, [2, 1, 0])
     np.testing.assert_array_equal(profile.ts, [0, 1, 2])
     np.testing.assert_array_equal(profile.phi, [1, 1, 1])
 
 
 def test_phi_lookup_missing_counts():
-    profile = build_profile(Sample(np.array([1, 1, 2]), 3))
+    profile = symbol_profile([1, 1, 2], 3)
     # a count value no symbol has gets no class, so its prevalence reads as 0
     prevalence = dict(zip(profile.ts.tolist(), profile.phi.tolist()))
     for t in (2, 3, 17):
@@ -52,27 +44,27 @@ def test_profile_from_counts_rejects_negative():
 
 
 def test_combined_mass_examples():
-    profile = build_profile(Sample(np.array([1, 1, 2]), 3))
+    profile = symbol_profile([1, 1, 2], 3)
     np.testing.assert_array_equal(profile.ts, [0, 1, 2])
     np.testing.assert_array_equal(class_totals([0.5, 0.3, 0.2], profile), [0.2, 0.3, 0.5])
 
-    empty = build_profile(Sample(np.array([], dtype=np.int64), 3))
+    empty = symbol_profile([], 3)
     np.testing.assert_array_equal(empty.ts, [0])
     np.testing.assert_array_equal(class_totals([0.5, 0.3, 0.2], empty), [1.0])
 
-    one = build_profile(Sample(np.array([1]), 2))
+    one = symbol_profile([1], 2)
     np.testing.assert_array_equal(one.ts, [0, 1])
     np.testing.assert_array_equal(class_totals([1.0, 0.0], one), [0.0, 1.0])
 
 
 def test_combined_mass_dimension_mismatch():
-    profile = build_profile(Sample(np.array([1, 1, 2]), 3))
+    profile = symbol_profile([1, 1, 2], 3)
     with pytest.raises(InvalidParameterError):
         class_totals([0.5, 0.5], profile)
 
 
 def test_class_totals_matches_manual_grouping():
-    profile = build_profile(Sample(np.array([1, 1, 2, 3]), 4))
+    profile = symbol_profile([1, 1, 2, 3], 4)
     totals = class_totals([10.0, 1.0, 2.0, 40.0], profile)
     # classes: t=0 -> symbol 4, t=1 -> symbols 2,3, t=2 -> symbol 1
     np.testing.assert_allclose(totals, [40.0, 3.0, 10.0])
@@ -84,8 +76,7 @@ def test_profile_invariants_fuzz():
         k = int(rng.integers(1, 51))
         n = int(rng.integers(0, 201))
         p = random_distribution(rng, k)
-        sample = draw_sample(p, n, RngSeed(900, case))
-        profile = build_profile(sample)
+        profile = sampled_profile(p, n, RngSeed(900, case))
         assert profile.counts.sum() == n
         assert profile.phi.sum() == k
         assert int(np.sum(profile.ts * profile.phi)) == n
@@ -96,15 +87,17 @@ def test_profile_invariants_fuzz():
         assert np.all(mass >= 0)
 
 
-def test_build_profile_permutation_equivariant():
+def test_profile_permutation_equivariant():
     rng = np.random.default_rng(77)
     for case in range(100):
         k = int(rng.integers(2, 9))
         n = int(rng.integers(0, 30))
         symbols = rng.integers(1, k + 1, size=n)
-        profile = build_profile(Sample(symbols, k))
-        relabel = rng.permutation(k) + 1  # old symbol x -> new symbol relabel[x-1]
-        permuted = build_profile(Sample(relabel[symbols - 1], k))
+        profile = symbol_profile(symbols, k)
+        relabel = rng.permutation(k)  # old symbol i -> new symbol relabel[i], 0-indexed
+        counts = np.empty(k, dtype=np.int64)
+        counts[relabel] = profile.counts
+        permuted = profile_from_counts(counts)
         np.testing.assert_array_equal(permuted.ts, profile.ts)
         np.testing.assert_array_equal(permuted.phi, profile.phi)
-        np.testing.assert_array_equal(permuted.counts[relabel - 1], profile.counts)
+        np.testing.assert_array_equal(permuted.counts[relabel], profile.counts)
