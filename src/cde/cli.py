@@ -20,12 +20,7 @@ import tempfile
 import numpy as np
 
 from .distributions import check_alphabet, parse_distribution, validate_distribution
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    InvalidParameterError,
-    UndefinedEstimateError,
-)
+from .errors import CapacityError, CdeError, ConfigurationError, InvalidParameterError
 from .estimators import apply_estimator, parse_estimator
 from .oracle import exact_expected_kl
 from .profile import profile_from_counts
@@ -41,10 +36,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigurationError, InvalidParameterError, UndefinedEstimateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -122,10 +114,7 @@ def _cmd_estimate(args) -> int:
     if spec.requires_true_p:
         p = _resolve_true_p(args)
     q = apply_estimator(spec, profile, p)
-    out = []
-    for i in range(args.k):
-        out.append(f"{i + 1}\t{_fmt9(float(q[i]))}")
-    print("\n".join(out))
+    print("\n".join(f"{i}\t{v:.9g}" for i, v in enumerate(q.tolist(), start=1)))
     return 0
 
 
@@ -175,43 +164,38 @@ def _workers_from_env() -> int:
     return max(1, min(requested, cores))
 
 
+def _read_lines(path: str, parse, what: str):
+    """(lineno, parse(line)) for each nonblank line of a UTF-8 text file; a
+    line that parse rejects is reported as path:lineno."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    value = parse(text)
+                except ValueError:
+                    raise InvalidParameterError(f"{path}:{lineno}: not {what}: {text!r}") from None
+                yield lineno, value
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def _read_counts(path: str, k: int) -> np.ndarray:
-    """Per-symbol counts of a file holding one symbol in [1..k] per line."""
-    symbols = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise InvalidParameterError(f"{path}:{lineno}: not an integer: {text!r}") from None
-            if not 1 <= value <= k:
-                raise InvalidParameterError(
-                    f"{path}:{lineno}: symbol {value} outside [1..{k}]"
-                )
-            symbols.append(value)
-    return np.bincount(np.array(symbols, dtype=np.int64), minlength=k + 1)[1:]
-
-
-def _read_probabilities(path: str) -> np.ndarray:
-    values = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise InvalidParameterError(f"{path}:{lineno}: not a number: {text!r}") from None
-    return validate_distribution(values)
+    """Per-symbol counts of a file holding one symbol in [1..k] per line,
+    counted as it is read so that memory does not grow with the file."""
+    counts = [0] * (k + 1)
+    for lineno, value in _read_lines(path, int, "an integer"):
+        if not 1 <= value <= k:
+            raise InvalidParameterError(f"{path}:{lineno}: symbol {value} outside [1..{k}]")
+        counts[value] += 1
+    return np.array(counts[1:], dtype=np.int64)
 
 
 def _resolve_true_p(args) -> np.ndarray:
     if args.p:
-        p = _read_probabilities(args.p)
+        p = validate_distribution([value for _, value in _read_lines(args.p, float, "a number")])
         if p.size != args.k:
             raise InvalidParameterError(
                 f"probability file has {p.size} entries but --k is {args.k}"
@@ -227,32 +211,13 @@ def _resolve_true_p(args) -> np.ndarray:
     raise ConfigurationError("a true distribution is required: pass --dist or --p")
 
 
-def _fmt9(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    return format(value, ".9g")
-
-
 def _fmt12(value: float) -> str:
     """Positional rendering with exactly 12 significant digits."""
     if math.isinf(value):
         return "inf"
-    mantissa, exp_text = format(value, ".11e").split("e")
-    negative = mantissa.startswith("-")
-    digits = mantissa.lstrip("-").replace(".", "")
-    exponent = int(exp_text)
-    if exponent >= 0:
-        if exponent + 1 >= len(digits):
-            whole = digits + "0" * (exponent + 1 - len(digits))
-            frac = ""
-        else:
-            whole = digits[: exponent + 1]
-            frac = digits[exponent + 1 :]
-    else:
-        whole = "0"
-        frac = "0" * (-exponent - 1) + digits
-    text = whole + (f".{frac}" if frac else "")
-    return f"-{text}" if negative else text
+    from decimal import Decimal  # imported here so that `import cde` does not load it
+
+    return format(Decimal(format(value, ".11e")), "f")
 
 
 def format_csv(records: list[RegretRecord]) -> str:
@@ -260,7 +225,7 @@ def format_csv(records: list[RegretRecord]) -> str:
     for r in records:
         lines.append(
             f"{r.distribution},{r.estimator},{r.k},{r.n},{r.trials},{r.master_seed},"
-            f"{_fmt9(r.mean_kl)},{_fmt9(r.stderr)},{r.inf_trials}"
+            f"{r.mean_kl:.9g},{r.stderr:.9g},{r.inf_trials}"
         )
     return "\n".join(lines) + "\n"
 
@@ -290,8 +255,8 @@ def _record_to_json(r: RegretRecord) -> dict:
         "n": r.n,
         "trials": r.trials,
         "seed": r.master_seed,
-        "mean_kl_nats": "inf" if math.isinf(r.mean_kl) else float(_fmt9(r.mean_kl)),
-        "stderr_nats": float(_fmt9(r.stderr)),
+        "mean_kl_nats": "inf" if math.isinf(r.mean_kl) else float(f"{r.mean_kl:.9g}"),
+        "stderr_nats": float(f"{r.stderr:.9g}"),
         "inf_trials": r.inf_trials,
     }
 

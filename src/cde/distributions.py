@@ -163,13 +163,13 @@ def validate_distribution(probs) -> np.ndarray:
 
 def uniform(k: int) -> np.ndarray:
     """Uniform distribution over [1..k]."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    check_alphabet(k)
     return np.full(k, 1.0 / k)
 
 
 def step(k: int) -> np.ndarray:
     """Two-level distribution: first half of the symbols at 1/2k, second half at 3/2k."""
+    check_alphabet(k)
     if k < 2 or k % 2 != 0:
         raise InvalidParameterError(f"step distribution needs an even k >= 2, got {k}")
     p = np.empty(k)
@@ -180,8 +180,7 @@ def step(k: int) -> np.ndarray:
 
 def zipf(k: int, s: float) -> np.ndarray:
     """Power-law distribution p(i) proportional to i**(-s)."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    check_alphabet(k)
     if not s > 0:
         raise InvalidParameterError(f"exponent must be positive, got {s}")
     ranks = np.arange(1, k + 1, dtype=np.float64)
@@ -191,8 +190,7 @@ def zipf(k: int, s: float) -> np.ndarray:
 
 def sample_dirichlet(k: int, alpha: float, rng) -> np.ndarray:
     """One draw from the symmetric Dirichlet(alpha) prior, via normalized Gamma draws."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    check_alphabet(k)
     if not alpha > 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     gen = _as_generator(rng)
@@ -276,19 +274,22 @@ def parse_distribution(name: str) -> DistributionSpec:
     if spec is not None:
         return spec
     if name.startswith("zipf:"):
-        s = _parse_positive(name, name[len("zipf:") :], "exponent")
+        s = parse_parameter("distribution", name, "exponent")
         return DistributionSpec(name, "zipf", exponent=s)
     if name.startswith("dirichlet:"):
-        alpha = _parse_positive(name, name[len("dirichlet:") :], "alpha")
+        alpha = parse_parameter("distribution", name, "alpha")
         return DistributionSpec(name, "dirichlet", alpha=alpha)
     raise ConfigurationError(f"unknown distribution '{name}'")
 
 
-def _parse_positive(name: str, text: str, what: str) -> float:
+def parse_parameter(kind: str, name: str, what: str) -> float:
+    """The finite positive number after the colon of a kind name such as
+    zipf:<s>, dirichlet:<alpha> or add-beta:<c>."""
+    text = name.partition(":")[2]
     try:
         value = float(text)
     except ValueError:
-        raise ConfigurationError(f"unknown distribution '{name}': bad {what} {text!r}") from None
+        raise ConfigurationError(f"unknown {kind} '{name}': bad {what} {text!r}") from None
     if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"unknown distribution '{name}': {what} must be finite and positive")
+        raise ConfigurationError(f"unknown {kind} '{name}': {what} must be finite and positive")
     return value

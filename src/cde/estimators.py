@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import validate_distribution
+from .distributions import parse_parameter, validate_distribution
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -183,13 +183,7 @@ def parse_estimator(name: str) -> EstimatorSpec:
     if spec is not None:
         return spec
     if name.startswith("add-beta:"):
-        text = name[len("add-beta:") :]
-        try:
-            const = float(text)
-        except ValueError:
-            raise ConfigurationError(f"unknown estimator '{name}': bad constant {text!r}") from None
-        if not (math.isfinite(const) and const > 0):
-            raise ConfigurationError(f"unknown estimator '{name}': beta must be finite and positive")
+        const = parse_parameter("estimator", name, "beta")
         return EstimatorSpec("add-beta", name, beta_fn=lambda t, c=const: c)
     raise ConfigurationError(f"unknown estimator '{name}'")
 

@@ -22,7 +22,7 @@ from .errors import CapacityError, InvalidParameterError
 from .estimators import PERMUTATION_ORACLE_MAX_K, parse_estimator
 from .profile import class_totals, profile_from_counts
 
-DEFAULT_SEQUENCE_CAP = 10_000_000
+MAX_SEQUENCES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,19 @@ class ExactResult:
     mass_covered: float
 
 
-def _check_cap(k: int, n: int, cap: int) -> None:
+def _check_cap(k: int, n: int) -> None:
     if n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n}")
-    # k = 1 is charged as 2 so that n stays bounded; and since 2**n > cap
-    # once n reaches cap's bit length, that test spares the bignum power.
+    # k = 1 is charged as 2 so that n stays bounded; and since 2**n exceeds
+    # the cap once n reaches its bit length, that test spares the bignum power.
     base = max(k, 2)
-    if n >= cap.bit_length() or base**n > cap:
-        raise CapacityError(f"enumeration of {base}**{n} sequences exceeds cap {cap}")
+    if n >= MAX_SEQUENCES.bit_length() or base**n > MAX_SEQUENCES:
+        raise CapacityError(f"enumeration of {base}**{n} sequences exceeds cap {MAX_SEQUENCES}")
     # The count vectors themselves take k entries each: with n = 1 a large
     # alphabet passes the sequence test while its k vectors hold k**2 counts.
     entries = k * math.comb(n + k - 1, n)
-    if entries > cap:
-        raise CapacityError(f"enumeration of {entries} count entries exceeds cap {cap}")
+    if entries > MAX_SEQUENCES:
+        raise CapacityError(f"enumeration of {entries} count entries exceeds cap {MAX_SEQUENCES}")
 
 
 @lru_cache(maxsize=1)
@@ -69,10 +69,10 @@ def _count_vectors(k: int, n: int):
     return tuple(entries)
 
 
-def _reachable(p: np.ndarray, n: int, cap: int):
+def _reachable(p: np.ndarray, n: int):
     """(profile, coefficient, probability) of every count vector that a
     length-n sample from the validated p can produce."""
-    _check_cap(int(p.size), n, cap)
+    _check_cap(int(p.size), n)
     for profile, coefficient in _count_vectors(int(p.size), n):
         # a symbol of probability 0 seen at least once zeroes the product
         weight = coefficient * float((p**profile.counts).prod())
@@ -80,7 +80,7 @@ def _reachable(p: np.ndarray, n: int, cap: int):
             yield profile, coefficient, weight
 
 
-def exact_expected_kl(p, estimator, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> ExactResult:
+def exact_expected_kl(p, estimator, n: int) -> ExactResult:
     """Exact E[KL(p, estimate)] over all length-n samples drawn from p.
 
     Zero-probability samples are skipped; an infinite loss on any reachable
@@ -93,7 +93,7 @@ def exact_expected_kl(p, estimator, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> 
     total = 0.0
     sequences = 0
     mass = 0.0
-    for profile, coefficient, weight in _reachable(p, n, cap):
+    for profile, coefficient, weight in _reachable(p, n):
         loss = natural_kl(class_totals(p, profile), estimator(profile, p), h)
         sequences += coefficient
         mass += weight
@@ -101,7 +101,7 @@ def exact_expected_kl(p, estimator, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> 
     return ExactResult(expected_kl=float(total), sequences_enumerated=sequences, mass_covered=mass)
 
 
-def exact_natural_regret(p, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> float:
+def exact_natural_regret(p, n: int) -> float:
     """Exact expected loss of the best natural estimator built from p.
 
     Equals E[sum_t S_t ln(phi[t]/S_t)] - H(p); the subtraction can round a
@@ -109,7 +109,7 @@ def exact_natural_regret(p, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> float:
     """
     p = validate_distribution(p)
     accumulated = 0.0
-    for profile, _, weight in _reachable(p, n, cap):
+    for profile, _, weight in _reachable(p, n):
         class_mass = class_totals(p, profile)
         positive = class_mass > 0.0
         inner = float(
@@ -119,7 +119,7 @@ def exact_natural_regret(p, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> float:
     return max(accumulated - entropy(p), 0.0)
 
 
-def exact_class_regret(p, estimator, n: int, cap: int = DEFAULT_SEQUENCE_CAP) -> float:
+def exact_class_regret(p, estimator, n: int) -> float:
     """Worst exact expected KL over all distinct relabelings of p."""
     p = validate_distribution(p)
     if p.size > PERMUTATION_ORACLE_MAX_K:
@@ -128,5 +128,5 @@ def exact_class_regret(p, estimator, n: int, cap: int = DEFAULT_SEQUENCE_CAP) ->
         )
     relabelings = sorted(set(permutations(p.tolist())))
     return max(
-        exact_expected_kl(np.array(q), estimator, n, cap).expected_kl for q in relabelings
+        exact_expected_kl(np.array(q), estimator, n).expected_kl for q in relabelings
     )

@@ -2,6 +2,9 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from cde.distributions import MAX_ALPHABET
 from cde.simulation import MAX_SAMPLE_SIZE, MAX_TRIALS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -153,8 +157,9 @@ def test_simulate_bad_flag_exit_2(tmp_path, capsys):
 HUGE_K = str(10**11)
 
 EXIT_CODE_ROWS = [
-    # (argv, environment, p-file text, exit code, stderr fragment); {out} and
-    # {p} stand for an output path and the p-file
+    # (argv, environment, p-file text or bytes, exit code, stderr fragment);
+    # {out}, {p} and {sample} stand for an output path, the p-file and a
+    # valid sample file, and {p} in a fragment for the p-file too
     pytest.param(SIMULATE_ARGS + ["--out", "{out}", "--bogus"], {}, None, 2, "--bogus", id="bad-flag"),
     pytest.param(["simulate", "--k", "4", "--n-grid", "2", "--trials", "5", "--estimators", "typo",
                   "--distributions", "uniform", "--out", "{out}"], {}, None, 3, "typo",
@@ -205,6 +210,20 @@ EXIT_CODE_ROWS = [
                  "k must be >= 1", id="estimate-zero-k"),
     pytest.param(["exact", "--k", "0", "--n", "1", "--estimator", "laplace", "--dist", "uniform"], {}, None, 3,
                  "k must be >= 1", id="exact-zero-k"),
+    pytest.param(["estimate", "--k", "3", "--estimator", "laplace", "--sample", "{p}"], {}, b"\xff1\n", 3,
+                 "{p}: not UTF-8", id="estimate-sample-not-utf8"),
+    pytest.param(["estimate", "--k", "3", "--estimator", "best-natural", "--sample", "{sample}", "--p", "{p}"], {},
+                 b"0.5\n\xff0.5\n", 3, "{p}: not UTF-8", id="estimate-p-not-utf8"),
+    pytest.param(["exact", "--k", "2", "--n", "1", "--estimator", "laplace", "--p", "{p}"], {}, b"\xff0.5\n0.5\n",
+                 3, "{p}: not UTF-8", id="exact-p-not-utf8"),
+    pytest.param(["estimate", "--k", "3", "--estimator", "laplace", "--sample", "{p}"], {}, "1\n\nx\n", 3,
+                 "{p}:3: not an integer: 'x'", id="sample-not-an-integer"),
+    pytest.param(["exact", "--k", "2", "--n", "1", "--estimator", "laplace", "--p", "{p}"], {}, "0.5\n\nhalf\n", 3,
+                 "{p}:3: not a number: 'half'", id="p-not-a-number"),
+    pytest.param(["estimate", "--k", "2", "--estimator", "laplace", "--sample", "{p}"], {}, "\n1\n  \n2\n\n", 0,
+                 "", id="sample-blank-lines"),
+    pytest.param(["exact", "--k", "2", "--n", "1", "--estimator", "laplace", "--p", "{p}"], {}, "\n0.5\n \t\n0.5\n",
+                 0, "", id="p-blank-lines"),
 ]
 
 
@@ -225,7 +244,7 @@ def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys,
         return read_counts(path, k)
 
     def guarded_count_vectors(k, n):
-        assert k * math.comb(n + k - 1, n) <= cde.oracle.DEFAULT_SEQUENCE_CAP, (k, n)
+        assert k * math.comb(n + k - 1, n) <= cde.oracle.MAX_SEQUENCES, (k, n)
         return count_vectors(k, n)
 
     def guarded_simulate_cell(*args, **kwargs):
@@ -243,18 +262,61 @@ def test_exit_code_contract(argv, env, p_text, code, fragment, tmp_path, capsys,
         monkeypatch.setenv(name, value)
     p_file = tmp_path / "p.txt"
     if p_text is not None:
-        p_file.write_text(p_text)
+        p_file.write_bytes(p_text if isinstance(p_text, bytes) else p_text.encode())
+    sample = tmp_path / "sample.txt"
+    sample.write_text("1\n2\n")
     out = tmp_path / "out.csv"
-    argv = [arg.format(out=out, p=p_file) for arg in argv]
+    argv = [arg.format(out=out, p=p_file, sample=sample) for arg in argv]
     got, stdout, err = run_cli(argv, capsys)
     assert got == code, err
-    assert fragment in err
+    assert fragment.format(p=p_file) in err
     if code:
         assert stdout == "" and not out.exists()
     elif argv[0] == "simulate":
         assert math.isfinite(float(out.read_text().splitlines()[1].split(",")[6]))
-    else:
+    elif argv[0] == "exact":
         assert math.isfinite(float(stdout))
+    else:  # estimate prints "i\tq_i" for i = 1..k
+        rows = [line.split("\t") for line in stdout.splitlines()]
+        assert [int(i) for i, _ in rows] == list(range(1, int(argv[argv.index("--k") + 1]) + 1))
+        q = [float(v) for _, v in rows]
+        assert all(math.isfinite(v) for v in q) and math.isclose(sum(q), 1.0)
+
+
+def test_python_m_cde_reports_non_utf8_sample_without_traceback(tmp_path):
+    sample = tmp_path / "s.txt"
+    sample.write_bytes(b"\xff1\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    result = subprocess.run(
+        [sys.executable, "-m", "cde", "estimate", "--k", "3", "--estimator", "laplace", "--sample", str(sample)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (3, ""), result.stderr
+    assert "s.txt: not UTF-8" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_read_counts_memory_does_not_grow_with_the_file(tmp_path):
+    # a list of every symbol would take about 36 bytes a line, 7 MB here
+    k, lines = 1000, 200_000
+    sample = tmp_path / "s.txt"
+    sample.write_text("".join(f"{1 + (i * 7919) % k}\n" for i in range(lines)))
+    tracemalloc.start()
+    try:
+        counts = cde.cli._read_counts(str(sample), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == lines and (counts == lines // k).all()
+    assert peak < 1_000_000, f"peak {peak} bytes"
+
+
+def test_out_naming_a_directory_exits_3_without_leftovers(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    code, stdout, err = run_cli(SIMULATE_ARGS + ["--out", str(target)], capsys)
+    assert (code, stdout) == (3, "") and str(target) in err
+    assert target.is_dir() and not list(target.iterdir())
+    assert not list(tmp_path.glob(".cde-*.tmp"))
 
 
 def test_parse_n_grid():
@@ -522,3 +584,4 @@ def test_fmt12_rendering():
     assert _fmt12(math.inf) == "inf"
     assert _fmt12(123456.789) == "123456.789000"
     assert _fmt12(-math.log(2)) == "-0.693147180560"
+

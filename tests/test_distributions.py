@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cde import (
+    CapacityError,
     ConfigurationError,
     InvalidParameterError,
     RngSeed,
@@ -13,7 +14,7 @@ from cde import (
     uniform,
     zipf,
 )
-from cde.distributions import draw_counts, load_stream, stream_states
+from cde.distributions import MAX_ALPHABET, draw_counts, load_stream, stream_states
 from cde.simulation import FIXED_PRIOR_STREAM
 
 from support import sampled_profile
@@ -83,6 +84,14 @@ def test_constructors_valid_on_grid():
             assert p.size == k
             assert np.all(p >= 0)
             assert abs(p.sum() - 1.0) <= 1e-9
+
+
+def test_constructors_reject_alphabet_over_cap():
+    # each must fail before it builds anything of size k
+    k = MAX_ALPHABET + 1
+    for build in (uniform, step, lambda k: zipf(k, 1.0), lambda k: sample_dirichlet(k, 1.0, RngSeed(1))):
+        with pytest.raises(CapacityError, match="alphabet size"):
+            build(k)
 
 
 def test_dirichlet_rejects_bad_parameters():

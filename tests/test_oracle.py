@@ -108,8 +108,9 @@ def test_capacity_cap():
         exact_expected_kl(uniform(10), "laplace", 50)
     with pytest.raises(CapacityError):
         exact_natural_regret(uniform(10), 50)
+    # 2**24 sequences exceed the cap; 2**23 fit (test_capacity_cap_admits_instances_near_it)
     with pytest.raises(CapacityError):
-        exact_expected_kl(uniform(2), "laplace", 3, cap=7)
+        exact_expected_kl(uniform(2), "laplace", 24)
 
 
 def test_capacity_cap_bounds_n_for_every_k(monkeypatch):
