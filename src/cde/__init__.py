@@ -26,9 +26,6 @@ from .errors import (
 from .estimators import (
     EstimatorSpec,
     apply_estimator,
-    braess_sauer_beta,
-    kt_beta,
-    laplace_beta,
     parse_estimator,
 )
 from .oracle import (
@@ -65,7 +62,6 @@ __all__ = [
     "SampleProfile",
     "UndefinedEstimateError",
     "apply_estimator",
-    "braess_sauer_beta",
     "class_totals",
     "cross_entropy",
     "entropy",
@@ -73,8 +69,6 @@ __all__ = [
     "exact_expected_kl",
     "exact_natural_regret",
     "kl",
-    "kt_beta",
-    "laplace_beta",
     "make_generator",
     "monte_carlo_regret",
     "parse_distribution",

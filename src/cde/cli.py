@@ -114,7 +114,10 @@ def _cmd_estimate(args) -> int:
     if spec.requires_true_p:
         p = _resolve_true_p(args)
     q = apply_estimator(spec, profile, p)
-    print("\n".join(f"{i}\t{v:.9g}" for i, v in enumerate(q.tolist(), start=1)))
+    # written 4096 lines at a time, so the memory beyond q does not grow with k
+    for start in range(0, q.size, 4096):
+        values = q[start : start + 4096].tolist()
+        sys.stdout.write("".join(f"{i}\t{v:.9g}\n" for i, v in enumerate(values, start + 1)))
     return 0
 
 
@@ -259,31 +262,6 @@ def _record_to_json(r: RegretRecord) -> dict:
         "stderr_nats": float(f"{r.stderr:.9g}"),
         "inf_trials": r.inf_trials,
     }
-
-
-def read_csv(path: str) -> list[RegretRecord]:
-    """Parse a file written by `simulate --format csv` back into records."""
-    with open(path, encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise InvalidParameterError(f"{path}: missing or unexpected CSV header")
-    records = []
-    for line in lines[1:]:
-        d, e, k, n, trials, seed, mean_kl, stderr, inf_trials = line.split(",")
-        records.append(
-            RegretRecord(
-                distribution=d,
-                estimator=e,
-                k=int(k),
-                n=int(n),
-                trials=int(trials),
-                mean_kl=float(mean_kl),
-                stderr=float(stderr),
-                inf_trials=int(inf_trials),
-                master_seed=int(seed),
-            )
-        )
-    return records
 
 
 def _write_atomic(path: str, text: str) -> None:

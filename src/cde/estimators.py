@@ -1,10 +1,10 @@
 """The estimators under comparison.
 
 Data-driven: empirical frequencies, the add-beta smoothing family (Laplace,
-Krichevsky-Trofimov, Braess-Sauer presets), and a per-count-class switch
-between Good-Turing and empirical estimates. Oracle baselines that see the
-true distribution: the best natural estimator and a permutation-averaged
-estimator for tiny alphabets.
+Krichevsky-Trofimov and Braess-Sauer presets, each a triple of betas), and a
+per-count-class switch between Good-Turing and empirical estimates. Oracle
+baselines that see the true distribution: the best natural estimator and a
+permutation-averaged estimator for tiny alphabets.
 
 All of them are natural: symbols with equal sample counts get equal
 probability, so each estimator is one value per count class, aligned with
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,22 +32,6 @@ from .profile import SampleProfile, class_totals
 PERMUTATION_ORACLE_MAX_K = 6
 
 
-def laplace_beta(t: int) -> float:
-    return 1.0
-
-
-def kt_beta(t: int) -> float:
-    return 0.5
-
-
-def braess_sauer_beta(t: int) -> float:
-    if t == 0:
-        return 0.5
-    if t == 1:
-        return 1.0
-    return 0.75
-
-
 def _empirical(spec, profile: SampleProfile, p) -> np.ndarray:
     """Relative frequencies t/n; unseen symbols get exactly zero."""
     if profile.n == 0:
@@ -58,11 +41,9 @@ def _empirical(spec, profile: SampleProfile, p) -> np.ndarray:
 
 def _add_beta(spec, profile: SampleProfile, p) -> np.ndarray:
     """Smoothed counts (t + beta(t)) / N, N normalizing over all k symbols."""
-    betas = [float(spec.beta_fn(t)) for t in profile.ts.tolist()]
-    if min(betas) <= 0.0 or float(spec.beta_fn(0)) <= 0.0:
-        raise InvalidParameterError("beta(t) must be positive for every count value")
-    top = max(betas)
-    betas = np.array(betas)
+    # spec.beta holds beta(0), beta(1), beta(t >= 2); clipping maps t >= 2 to the last
+    betas = np.array(spec.beta).take(profile.ts, mode="clip")
+    top = max(spec.beta)
     # sum(phi * beta) <= k * max(beta); where that bound overflows, dividing
     # every term by the largest beta gives the same estimate in range.
     if math.isinf(profile.n + profile.k * top):
@@ -145,31 +126,38 @@ class EstimatorSpec:
 
     Calling it with (profile, p) gives one probability per count class,
     aligned with profile.ts; oracle kinds expect p validated and of size k.
+    An add-beta spec holds its smoother as beta = (beta(0), beta(1),
+    beta(t >= 2)), three finite positive numbers.
     """
 
     kind: str
     name: str
-    beta_fn: Optional[Callable[[int], float]] = None
+    beta: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in _PER_CLASS:
             raise ConfigurationError(f"unknown estimator kind '{self.kind}'")
-        if self.kind == "add-beta" and self.beta_fn is None:
-            raise ConfigurationError("add-beta estimator needs a beta function")
+        beta = self.beta if isinstance(self.beta, tuple) else ()
+        if self.kind == "add-beta" and not (len(beta) == 3 and all(0.0 < b < math.inf for b in beta)):
+            raise ConfigurationError(
+                f"add-beta estimator '{self.name}' needs three finite positive betas, got {self.beta!r}"
+            )
 
     @property
     def requires_true_p(self) -> bool:
         return self.kind in _ORACLE_KINDS
 
     def __call__(self, profile: SampleProfile, p=None) -> np.ndarray:
+        if p is None and self.requires_true_p:
+            raise InvalidParameterError(f"estimator '{self.name}' needs the true distribution")
         return _PER_CLASS[self.kind](self, profile, p)
 
 
 _NAMED = {
     "empirical": EstimatorSpec("empirical", "empirical"),
-    "laplace": EstimatorSpec("add-beta", "laplace", beta_fn=laplace_beta),
-    "kt": EstimatorSpec("add-beta", "kt", beta_fn=kt_beta),
-    "braess-sauer": EstimatorSpec("add-beta", "braess-sauer", beta_fn=braess_sauer_beta),
+    "laplace": EstimatorSpec("add-beta", "laplace", beta=(1.0, 1.0, 1.0)),
+    "kt": EstimatorSpec("add-beta", "kt", beta=(0.5, 0.5, 0.5)),
+    "braess-sauer": EstimatorSpec("add-beta", "braess-sauer", beta=(0.5, 1.0, 0.75)),
     "competitive": EstimatorSpec("competitive-gt", "competitive"),
     "best-natural": EstimatorSpec("best-natural", "best-natural"),
     "perm-oracle": EstimatorSpec("permutation-oracle", "perm-oracle"),
@@ -184,8 +172,31 @@ def parse_estimator(name: str) -> EstimatorSpec:
         return spec
     if name.startswith("add-beta:"):
         const = parse_parameter("estimator", name, "beta")
-        return EstimatorSpec("add-beta", name, beta_fn=lambda t, c=const: c)
+        return EstimatorSpec("add-beta", name, beta=(const, const, const))
     raise ConfigurationError(f"unknown estimator '{name}'")
+
+
+def resolve_estimator(estimator):
+    """The spec of an estimator name, an EstimatorSpec itself, or a custom
+    callable (profile, p) -> per-class values wrapped so that each of its
+    outputs is checked. Named specs are not checked."""
+    if isinstance(estimator, str):
+        return parse_estimator(estimator)
+    if isinstance(estimator, EstimatorSpec):
+        return estimator
+
+    def checked(profile: SampleProfile, p=None) -> np.ndarray:
+        q = np.asarray(estimator(profile, p), dtype=np.float64)
+        # a NaN entry fails both comparisons, an infinite one the sum
+        if q.shape == profile.ts.shape and q.min() >= 0.0:
+            if abs(float(profile.phi @ q) - 1.0) <= 1e-9:
+                return q
+        raise InvalidParameterError(
+            "a custom estimator must return one finite nonnegative value per count class"
+            " (profile.ts), with sum(phi * q) = 1 within 1e-9"
+        )
+
+    return checked
 
 
 def _expand(profile: SampleProfile, per_class: np.ndarray) -> np.ndarray:
@@ -202,11 +213,8 @@ def apply_estimator(estimator, profile: SampleProfile, p=None) -> np.ndarray:
     (profile, p) -> per-class values aligned with profile.ts. Oracle kinds
     require the true p.
     """
-    if isinstance(estimator, str):
-        estimator = parse_estimator(estimator)
-    if isinstance(estimator, EstimatorSpec) and estimator.requires_true_p:
-        if p is None:
-            raise InvalidParameterError(f"estimator '{estimator.name}' needs the true distribution")
+    estimator = resolve_estimator(estimator)
+    if isinstance(estimator, EstimatorSpec) and estimator.requires_true_p and p is not None:
         p = validate_distribution(p)
         if p.size != profile.k:
             raise InvalidParameterError(

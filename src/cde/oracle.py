@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import validate_distribution
 from .divergence import entropy, natural_kl
 from .errors import CapacityError, InvalidParameterError
-from .estimators import PERMUTATION_ORACLE_MAX_K, parse_estimator
+from .estimators import PERMUTATION_ORACLE_MAX_K, resolve_estimator
 from .profile import class_totals, profile_from_counts
 
 MAX_SEQUENCES = 10_000_000
@@ -87,8 +87,7 @@ def exact_expected_kl(p, estimator, n: int) -> ExactResult:
     sample makes the expectation infinite.
     """
     p = validate_distribution(p)
-    if isinstance(estimator, str):
-        estimator = parse_estimator(estimator)
+    estimator = resolve_estimator(estimator)
     h = entropy(p)
     total = 0.0
     sequences = 0

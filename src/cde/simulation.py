@@ -31,7 +31,7 @@ from .distributions import (
 )
 from .divergence import entropy, natural_kl
 from .errors import CapacityError, ConfigurationError, InvalidParameterError
-from .estimators import EstimatorSpec, parse_estimator
+from .estimators import EstimatorSpec, parse_estimator, resolve_estimator
 from .profile import class_totals, profile_from_counts
 
 # Stream reserved for the single prior draw when redraw_prior_per_trial is
@@ -108,21 +108,21 @@ def monte_carlo_regret(
 ) -> RegretRecord:
     """Mean and standard error of KL(p, estimate) over seeded i.i.d. trials."""
     p = validate_distribution(p)
-    if isinstance(estimator, str):
-        estimator = parse_estimator(estimator)
+    resolved = resolve_estimator(estimator)
+    name = resolved.name if isinstance(resolved, EstimatorSpec) else getattr(estimator, "__name__", "custom")
     _check_trials(trials)
     _check_sample_size(n)
     master_seed = RngSeed(master_seed).seed
     losses = _simulate_cell(
         fixed_p=p,
         spec=None,
-        estimators=[estimator],
+        estimators=[resolved],
         k=int(p.size),
         n=n,
         trials=trials,
         master_seed=master_seed,
     )
-    return _aggregate(label, _estimator_name(estimator), int(p.size), n, trials, master_seed, losses[:, 0])
+    return _aggregate(label, name, int(p.size), n, trials, master_seed, losses[:, 0])
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RegretRecord]:
@@ -184,12 +184,6 @@ def _check_sample_size(n: int) -> None:
         raise InvalidParameterError(f"n must be >= 0, got {n}")
     if n > MAX_SAMPLE_SIZE:
         raise CapacityError(f"sample size n={n} exceeds cap {MAX_SAMPLE_SIZE}")
-
-
-def _estimator_name(estimator) -> str:
-    if isinstance(estimator, EstimatorSpec):
-        return estimator.name
-    return getattr(estimator, "__name__", "custom")
 
 
 def _simulate_cell(

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "SampleProfile",
     "UndefinedEstimateError",
     "apply_estimator",
-    "braess_sauer_beta",
     "class_totals",
     "cross_entropy",
     "entropy",
@@ -29,8 +28,6 @@ PUBLIC_NAMES = [
     "exact_expected_kl",
     "exact_natural_regret",
     "kl",
-    "kt_beta",
-    "laplace_beta",
     "make_generator",
     "monte_carlo_regret",
     "parse_distribution",
@@ -55,6 +52,9 @@ def test_public_surface():
         assert name not in cde.__all__ and not hasattr(cde, name), name
     # a sample enters only as a count vector; the symbol-sequence path is gone
     for name in ("Sample", "draw_sample", "build_profile"):
+        assert name not in cde.__all__ and not hasattr(cde, name), name
+    # an add-beta smoother is a (beta(0), beta(1), beta(t >= 2)) triple on its spec
+    for name in ("laplace_beta", "kt_beta", "braess_sauer_beta"):
         assert name not in cde.__all__ and not hasattr(cde, name), name
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import csv
 import inspect
 import json
 import math
@@ -9,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import cde
 import cde.cli
 import cde.oracle
 import cde.simulation
 from cde import CapacityError, ConfigurationError, DistributionSpec, ExperimentConfig, run_experiment
-from cde.cli import CSV_HEADER, main, parse_n_grid, read_csv, _fmt12, _workers_from_env
+from cde.cli import CSV_HEADER, main, parse_n_grid, _fmt12, _workers_from_env
 from cde.distributions import MAX_ALPHABET
 from cde.simulation import MAX_SAMPLE_SIZE, MAX_TRIALS
 
@@ -72,27 +75,34 @@ def test_simulate_full_grid_row_count(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 300
 
 
+def csv_rows(path) -> list[dict]:
+    """The rows of a `simulate --format csv` file, keyed by the header's columns."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        assert handle.readline() == CSV_HEADER + "\n"
+        return list(csv.DictReader(handle, fieldnames=CSV_HEADER.split(",")))
+
+
 def test_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, _, _ = run_cli(SIMULATE_ARGS + ["--out", str(out)], capsys)
     assert code == 0
-    records = read_csv(str(out))
+    rows = csv_rows(out)
     config = ExperimentConfig(
         k=6, n_grid=(4, 8), trials=10, master_seed=5,
         distributions=("uniform", "zipf:1.2"), estimators=("laplace", "competitive"),
     )
     direct = run_experiment(config)
-    assert len(records) == len(direct)
-    for parsed, original in zip(records, direct):
-        assert (parsed.distribution, parsed.estimator, parsed.k, parsed.n) == (
+    assert len(rows) == len(direct)
+    for row, original in zip(rows, direct):
+        assert (row["distribution"], row["estimator"], int(row["k"]), int(row["n"])) == (
             original.distribution, original.estimator, original.k, original.n,
         )
-        assert (parsed.trials, parsed.master_seed, parsed.inf_trials) == (
+        assert (int(row["trials"]), int(row["seed"]), int(row["inf_trials"])) == (
             original.trials, original.master_seed, original.inf_trials,
         )
         # values survive modulo 9-significant-digit quantization
-        assert parsed.mean_kl == float(f"{original.mean_kl:.9g}")
-        assert parsed.stderr == float(f"{original.stderr:.9g}")
+        assert float(row["mean_kl_nats"]) == float(f"{original.mean_kl:.9g}")
+        assert float(row["stderr_nats"]) == float(f"{original.stderr:.9g}")
 
 
 def test_simulate_json_format(tmp_path, capsys):
@@ -121,8 +131,8 @@ def test_simulate_infinite_mean_serialized_as_inf(tmp_path, capsys):
     row = out.read_text().splitlines()[1].split(",")
     assert row[6] == "inf"
     assert int(row[8]) == 5
-    parsed = read_csv(str(out))
-    assert math.isinf(parsed[0].mean_kl)
+    parsed = csv_rows(out)
+    assert math.isinf(float(parsed[0]["mean_kl_nats"]))
 
 
 def test_simulate_unknown_estimator_exit_3_no_partial_file(tmp_path, capsys):
@@ -308,6 +318,39 @@ def test_read_counts_memory_does_not_grow_with_the_file(tmp_path):
         tracemalloc.stop()
     assert counts.sum() == lines and (counts == lines // k).all()
     assert peak < 1_000_000, f"peak {peak} bytes"
+
+
+def test_estimate_memory_per_symbol_does_not_grow_with_k(tmp_path):
+    # q, the counts and their reading take about 25 bytes a symbol and the
+    # chunk being written about 0.3 MB; joining all k output lines into one
+    # string took about 130 bytes a symbol. Tracing slows the formatting of
+    # every line about sevenfold, so k stays small.
+    k = 50_000
+    sample = tmp_path / "s.txt"
+    sample.write_text("1\n1\n2\n")
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["estimate", "--k", str(k), "--estimator", "laplace", "--sample", str(sample)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 40 * k, f"peak {peak} bytes, {peak / k:.1f} a symbol"
+
+
+def test_estimate_output_written_in_chunks_matches_one_string(tmp_path, capsys):
+    # 4096 lines are written at a time; k spans a partial third chunk
+    k = 2 * 4096 + 5
+    sample = tmp_path / "s.txt"
+    sample.write_text("".join(f"{1 + (i * 7919) % k}\n" for i in range(3 * k)))
+    code, out, _ = run_cli(
+        ["estimate", "--k", str(k), "--estimator", "competitive", "--sample", str(sample)], capsys
+    )
+    profile = cde.profile_from_counts(cde.cli._read_counts(str(sample), k))
+    q = cde.apply_estimator("competitive", profile)
+    assert code == 0
+    assert out == "\n".join(f"{i}\t{v:.9g}" for i, v in enumerate(q.tolist(), start=1)) + "\n"
 
 
 def test_out_naming_a_directory_exits_3_without_leftovers(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,10 @@ from cde import (
     RngSeed,
     UndefinedEstimateError,
     apply_estimator,
-    braess_sauer_beta,
     cross_entropy,
+    exact_expected_kl,
     kl,
-    kt_beta,
-    laplace_beta,
+    monte_carlo_regret,
     parse_estimator,
     profile_from_counts,
     uniform,
@@ -44,6 +45,10 @@ def test_add_beta_presets_by_hand():
     np.testing.assert_allclose(
         apply_estimator("braess-sauer", profile), np.array([2.75, 2.0, 0.5]) / 5.25, rtol=1e-15
     )
+    # a custom triple: beta(0) = 2, beta(1) = 1/4, beta(t >= 2) = 3 on counts (2, 1, 0, 5)
+    spec = EstimatorSpec("add-beta", "custom", beta=(2.0, 0.25, 3.0))
+    q = apply_estimator(spec, profile_from_counts([2, 1, 0, 5]))
+    np.testing.assert_allclose(q, np.array([5.0, 1.25, 2.0, 8.0]) / 16.25, rtol=1e-15)
 
 
 def test_add_beta_huge_constant_stays_finite():
@@ -57,13 +62,10 @@ def test_add_beta_huge_constant_stays_finite():
 
 
 def test_add_beta_rejects_nonpositive_beta():
-    profile = symbol_profile([1, 1, 2], 3)
-    with pytest.raises(InvalidParameterError):
-        apply_estimator(EstimatorSpec("add-beta", "zero", beta_fn=lambda t: 0.0), profile)
-    with pytest.raises(InvalidParameterError):
-        apply_estimator(
-            EstimatorSpec("add-beta", "negative", beta_fn=lambda t: -1.0 if t == 0 else 1.0), profile
-        )
+    for beta in (None, (0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, float("nan")),
+                 (1.0, 1.0, float("inf")), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), 0.5, [1.0, 1.0, 1.0]):
+        with pytest.raises(ConfigurationError, match="three finite positive betas"):
+            EstimatorSpec("add-beta", "bad", beta=beta)
 
 
 def test_competitive_hand_examples():
@@ -158,14 +160,22 @@ def test_permutation_oracle_impossible_sample():
 
 def test_parse_estimator_names():
     assert parse_estimator("empirical").kind == "empirical"
-    assert parse_estimator("laplace").beta_fn is laplace_beta
-    assert parse_estimator("kt").beta_fn is kt_beta
-    assert parse_estimator("braess-sauer").beta_fn is braess_sauer_beta
+    assert parse_estimator("laplace").beta == (1.0, 1.0, 1.0)
+    assert parse_estimator("kt").beta == (0.5, 0.5, 0.5)
+    assert parse_estimator("braess-sauer").beta == (0.5, 1.0, 0.75)
     assert parse_estimator("competitive").kind == "competitive-gt"
     assert parse_estimator("best-natural").requires_true_p
     assert parse_estimator("perm-oracle").requires_true_p
     spec = parse_estimator("add-beta:0.25")
-    assert spec.kind == "add-beta" and spec.beta_fn(3) == 0.25
+    assert spec.kind == "add-beta" and spec.beta == (0.25, 0.25, 0.25)
+
+
+def test_parsed_estimators_are_values():
+    # a spec is plain data: equal on a second parse and picklable
+    for name in ("add-beta:0.5", *_ALL_NAMES):
+        spec = parse_estimator(name)
+        assert spec == parse_estimator(name) and hash(spec) == hash(parse_estimator(name))
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 def test_parse_estimator_unknown():
@@ -188,6 +198,44 @@ def test_apply_estimator_oracle_requires_p():
         apply_estimator("perm-oracle", profile)
     q = apply_estimator("perm-oracle", profile, [0.5, 0.3, 0.2])
     assert abs(q.sum() - 1.0) <= 1e-9
+    # the spec itself, not only apply_estimator, names the missing distribution
+    for name in ("best-natural", "perm-oracle"):
+        with pytest.raises(InvalidParameterError, match=f"'{name}' needs the true distribution"):
+            parse_estimator(name)(profile_from_counts([3]))
+
+
+# A custom estimator's output must be one finite nonnegative value per count
+# class with sum(phi * q) = 1. Profile (1, 0, 2) has classes t = 0, 1, 2.
+_BAD_OUTPUTS = {
+    "one-value": lambda profile, p=None: np.array([0.5]),
+    "negative": lambda profile, p=None: np.array([-0.5, 0.75, 0.75]),
+    "nan": lambda profile, p=None: np.array([np.nan, 0.5, 0.5]),
+    "infinite": lambda profile, p=None: np.array([np.inf, 0.0, 0.0]),
+    "sum-above-one": lambda profile, p=None: np.full(profile.ts.shape, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_OUTPUTS))
+def test_custom_estimator_output_checked(name):
+    with pytest.raises(InvalidParameterError, match="custom estimator"):
+        apply_estimator(_BAD_OUTPUTS[name], profile_from_counts([1, 0, 2]))
+
+
+# Every length-3 sample from two symbols has two count classes.
+_ENTRY_POINTS = {
+    "apply_estimator": lambda est: apply_estimator(est, profile_from_counts([1, 2])),
+    "exact_expected_kl": lambda est: exact_expected_kl([0.5, 0.5], est, 3),
+    "monte_carlo_regret": lambda est: monte_carlo_regret([0.5, 0.5], est, n=3, trials=4, master_seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_custom_estimator_output_checked_on_every_path(entry):
+    for bad in (_BAD_OUTPUTS["one-value"], _BAD_OUTPUTS["sum-above-one"]):
+        with pytest.raises(InvalidParameterError, match="custom estimator"):
+            _ENTRY_POINTS[entry](bad)
+    # a natural estimate passes: per-class values (t + 1/2) / (n + k/2)
+    _ENTRY_POINTS[entry](lambda profile, p=None: (profile.ts + 0.5) / (profile.n + 0.5 * profile.k))
 
 
 _ALL_NAMES = ("empirical", "laplace", "kt", "braess-sauer", "competitive", "best-natural", "perm-oracle")
