@@ -16,13 +16,7 @@ from .distributions import (
     zipf,
 )
 from .divergence import cross_entropy, entropy, kl
-from .errors import (
-    CapacityError,
-    CdeError,
-    ConfigurationError,
-    InvalidParameterError,
-    UndefinedEstimateError,
-)
+from .errors import CapacityError, CdeError, InvalidParameterError
 from .estimators import (
     EstimatorSpec,
     apply_estimator,
@@ -51,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "CdeError",
-    "ConfigurationError",
     "DistributionSpec",
     "EstimatorSpec",
     "ExactResult",
@@ -60,7 +53,6 @@ __all__ = [
     "RegretRecord",
     "RngSeed",
     "SampleProfile",
-    "UndefinedEstimateError",
     "apply_estimator",
     "class_totals",
     "cross_entropy",

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from .distributions import check_alphabet, parse_distribution, validate_distribution
-from .errors import CapacityError, CdeError, ConfigurationError, InvalidParameterError
+from .errors import CapacityError, CdeError, InvalidParameterError
 from .estimators import apply_estimator, parse_estimator
 from .oracle import exact_expected_kl
 from .profile import profile_from_counts
@@ -148,7 +148,7 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
             return tuple(int(np.rint(v)) for v in np.linspace(start, stop, count))
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ConfigurationError(f"bad n-grid {text!r}: {exc}") from None
+        raise InvalidParameterError(f"bad n-grid {text!r}: {exc}") from None
 
 
 def _workers_from_env() -> int:
@@ -159,7 +159,7 @@ def _workers_from_env() -> int:
     try:
         requested = int(raw)
     except ValueError:
-        raise ConfigurationError(f"CDE_THREADS must be an integer, got {raw!r}") from None
+        raise InvalidParameterError(f"CDE_THREADS must be an integer, got {raw!r}") from None
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -207,11 +207,11 @@ def _resolve_true_p(args) -> np.ndarray:
     if args.dist:
         spec = parse_distribution(args.dist)
         if spec.is_prior:
-            raise ConfigurationError(
+            raise InvalidParameterError(
                 f"distribution '{args.dist}' is a prior; supply a fixed vector via --p"
             )
         return spec.realize(args.k)
-    raise ConfigurationError("a true distribution is required: pass --dist or --p")
+    raise InvalidParameterError("a true distribution is required: pass --dist or --p")
 
 
 def _fmt12(value: float) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, InvalidParameterError
+from .errors import CapacityError, InvalidParameterError
 
 SUM_TOLERANCE = 1e-9
 _U64_MAX = 2**64 - 1
@@ -279,7 +279,7 @@ def parse_distribution(name: str) -> DistributionSpec:
     if name.startswith("dirichlet:"):
         alpha = parse_parameter("distribution", name, "alpha")
         return DistributionSpec(name, "dirichlet", alpha=alpha)
-    raise ConfigurationError(f"unknown distribution '{name}'")
+    raise InvalidParameterError(f"unknown distribution '{name}'")
 
 
 def parse_parameter(kind: str, name: str, what: str) -> float:
@@ -289,7 +289,7 @@ def parse_parameter(kind: str, name: str, what: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ConfigurationError(f"unknown {kind} '{name}': bad {what} {text!r}") from None
+        raise InvalidParameterError(f"unknown {kind} '{name}': bad {what} {text!r}") from None
     if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"unknown {kind} '{name}': {what} must be finite and positive")
+        raise InvalidParameterError(f"unknown {kind} '{name}': {what} must be finite and positive")
     return value

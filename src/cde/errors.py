@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each maps to one CLI exit code."""
 
 
 class CdeError(Exception):
@@ -6,16 +6,9 @@ class CdeError(Exception):
 
 
 class InvalidParameterError(CdeError, ValueError):
-    """An argument violates an operation's precondition."""
-
-
-class UndefinedEstimateError(CdeError):
-    """The requested estimate does not exist for this input (e.g. an empty sample)."""
+    """An argument, name or configuration is invalid, or its estimate is
+    undefined (exit code 3)."""
 
 
 class CapacityError(CdeError):
-    """The request exceeds a hard enumeration or alphabet-size cap."""
-
-
-class ConfigurationError(CdeError):
-    """A configuration references unknown names or is internally inconsistent."""
+    """The request exceeds a hard enumeration or alphabet-size cap (exit code 4)."""

@@ -20,12 +20,7 @@ from itertools import permutations
 import numpy as np
 
 from .distributions import parse_parameter, validate_distribution
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    InvalidParameterError,
-    UndefinedEstimateError,
-)
+from .errors import CapacityError, InvalidParameterError
 from .profile import SampleProfile, class_totals
 
 # caps every k! walk over relabelings of p, here and in oracle.exact_class_regret
@@ -35,7 +30,7 @@ PERMUTATION_ORACLE_MAX_K = 6
 def _empirical(spec, profile: SampleProfile, p) -> np.ndarray:
     """Relative frequencies t/n; unseen symbols get exactly zero."""
     if profile.n == 0:
-        raise UndefinedEstimateError("empirical estimate undefined for an empty sample")
+        raise InvalidParameterError("empirical estimate undefined for an empty sample")
     return profile.ts / profile.n
 
 
@@ -63,7 +58,7 @@ def _competitive_gt(spec, profile: SampleProfile, p) -> np.ndarray:
     normalized at the end.
     """
     if profile.n == 0:
-        raise UndefinedEstimateError("competitive estimate undefined for an empty sample")
+        raise InvalidParameterError("competitive estimate undefined for an empty sample")
     ts = profile.ts
     phi = profile.phi.astype(np.float64)
     # prevalence of count t+1 for each realized t (0 when that count is absent)
@@ -102,7 +97,7 @@ def _permutation_oracle(spec, profile: SampleProfile, p) -> np.ndarray:
     with np.errstate(divide="ignore"):  # ln 0 = -inf rules out a relabeling
         log_weight = np.log(relabeled[:, seen]) @ profile.counts[seen]
     if not np.isfinite(log_weight).any():
-        raise UndefinedEstimateError("sample has zero probability under every relabeling of p")
+        raise InvalidParameterError("sample has zero probability under every relabeling of p")
     weight = np.exp(log_weight - log_weight.max())
     numerator = weight @ relabeled
     # Equal-count symbols receive the same terms in a different order, which
@@ -136,10 +131,10 @@ class EstimatorSpec:
 
     def __post_init__(self):
         if self.kind not in _PER_CLASS:
-            raise ConfigurationError(f"unknown estimator kind '{self.kind}'")
+            raise InvalidParameterError(f"unknown estimator kind '{self.kind}'")
         beta = self.beta if isinstance(self.beta, tuple) else ()
         if self.kind == "add-beta" and not (len(beta) == 3 and all(0.0 < b < math.inf for b in beta)):
-            raise ConfigurationError(
+            raise InvalidParameterError(
                 f"add-beta estimator '{self.name}' needs three finite positive betas, got {self.beta!r}"
             )
 
@@ -173,7 +168,7 @@ def parse_estimator(name: str) -> EstimatorSpec:
     if name.startswith("add-beta:"):
         const = parse_parameter("estimator", name, "beta")
         return EstimatorSpec("add-beta", name, beta=(const, const, const))
-    raise ConfigurationError(f"unknown estimator '{name}'")
+    raise InvalidParameterError(f"unknown estimator '{name}'")
 
 
 def resolve_estimator(estimator):

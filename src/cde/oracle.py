@@ -119,7 +119,12 @@ def exact_natural_regret(p, n: int) -> float:
 
 
 def exact_class_regret(p, estimator, n: int) -> float:
-    """Worst exact expected KL over all distinct relabelings of p."""
+    """Worst exact expected KL over all distinct relabelings of p.
+
+    The walk matters only for a custom callable that reads which symbols were
+    seen: every named estimator scores the same on each relabeling, so for
+    those it returns exact_expected_kl(p, estimator, n).expected_kl.
+    """
     p = validate_distribution(p)
     if p.size > PERMUTATION_ORACLE_MAX_K:
         raise CapacityError(

@@ -30,7 +30,7 @@ from .distributions import (
     validate_distribution,
 )
 from .divergence import entropy, natural_kl
-from .errors import CapacityError, ConfigurationError, InvalidParameterError
+from .errors import CapacityError, InvalidParameterError
 from .estimators import EstimatorSpec, parse_estimator, resolve_estimator
 from .profile import class_totals, profile_from_counts
 
@@ -76,11 +76,11 @@ class ExperimentConfig:
             _check_sample_size(n)
         object.__setattr__(self, "master_seed", RngSeed(self.master_seed).seed)
         if not self.n_grid:
-            raise ConfigurationError("n_grid must be nonempty")
+            raise InvalidParameterError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ConfigurationError(f"n_grid must be strictly increasing, got {self.n_grid}")
+            raise InvalidParameterError(f"n_grid must be strictly increasing, got {self.n_grid}")
         if not self.distributions or not self.estimators:
-            raise ConfigurationError("need at least one distribution and one estimator")
+            raise InvalidParameterError("need at least one distribution and one estimator")
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RegretRec
 
 def _check_trials(trials: int) -> None:
     if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise CapacityError(f"trials={trials} exceeds cap {MAX_TRIALS}")
 

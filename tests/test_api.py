@@ -10,7 +10,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "CapacityError",
     "CdeError",
-    "ConfigurationError",
     "DistributionSpec",
     "EstimatorSpec",
     "ExactResult",
@@ -19,7 +18,6 @@ PUBLIC_NAMES = [
     "RegretRecord",
     "RngSeed",
     "SampleProfile",
-    "UndefinedEstimateError",
     "apply_estimator",
     "class_totals",
     "cross_entropy",
@@ -55,6 +53,9 @@ def test_public_surface():
         assert name not in cde.__all__ and not hasattr(cde, name), name
     # an add-beta smoother is a (beta(0), beta(1), beta(t >= 2)) triple on its spec
     for name in ("laplace_beta", "kt_beta", "braess_sauer_beta"):
+        assert name not in cde.__all__ and not hasattr(cde, name), name
+    # one exception class per exit code: InvalidParameterError (3), CapacityError (4)
+    for name in ("ConfigurationError", "UndefinedEstimateError"):
         assert name not in cde.__all__ and not hasattr(cde, name), name
 
 

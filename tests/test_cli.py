@@ -15,7 +15,7 @@ import cde
 import cde.cli
 import cde.oracle
 import cde.simulation
-from cde import CapacityError, ConfigurationError, DistributionSpec, ExperimentConfig, run_experiment
+from cde import CapacityError, DistributionSpec, ExperimentConfig, InvalidParameterError, run_experiment
 from cde.cli import CSV_HEADER, main, parse_n_grid, _fmt12, _workers_from_env
 from cde.distributions import MAX_ALPHABET
 from cde.simulation import MAX_SAMPLE_SIZE, MAX_TRIALS
@@ -368,15 +368,15 @@ def test_parse_n_grid():
         1000, 6444, 11889, 17333, 22778, 28222, 33667, 39111, 44556, 50000,
     )
     assert parse_n_grid("7:7:1") == (7,)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         parse_n_grid("5,abc")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         parse_n_grid("1:2:3:4")
     # a count above the integers in the range would repeat a value
     assert parse_n_grid("5:10:6") == (5, 6, 7, 8, 9, 10)
-    with pytest.raises(ConfigurationError, match="count exceeds"):
+    with pytest.raises(InvalidParameterError, match="count exceeds"):
         parse_n_grid("5:10:7")
-    with pytest.raises(ConfigurationError, match="count exceeds"):
+    with pytest.raises(InvalidParameterError, match="count exceeds"):
         parse_n_grid("10:5:7")
     assert parse_n_grid(f"1:{MAX_SAMPLE_SIZE}:2") == (1, MAX_SAMPLE_SIZE)
     for grid in (f"1:{MAX_SAMPLE_SIZE + 1}:2", f"{MAX_SAMPLE_SIZE + 1}:1:2", f"{10**12}:{10**12}:1"):

@@ -3,7 +3,6 @@ import pytest
 
 from cde import (
     CapacityError,
-    ConfigurationError,
     InvalidParameterError,
     RngSeed,
     make_generator,
@@ -278,14 +277,14 @@ def test_parse_distribution_standard_names():
 
 
 def test_parse_distribution_unknown_names():
-    with pytest.raises(ConfigurationError, match="nonsense"):
+    with pytest.raises(InvalidParameterError, match="nonsense"):
         parse_distribution("nonsense")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         parse_distribution("zipf:-1")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         parse_distribution("dirichlet:abc")
     for name, what in (("zipf:inf", "exponent"), ("dirichlet:inf", "alpha"), ("dirichlet:nan", "alpha")):
-        with pytest.raises(ConfigurationError, match=f"{what} must be finite and positive"):
+        with pytest.raises(InvalidParameterError, match=f"{what} must be finite and positive"):
             parse_distribution(name)
 
 

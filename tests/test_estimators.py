@@ -5,11 +5,9 @@ import pytest
 
 from cde import (
     CapacityError,
-    ConfigurationError,
     EstimatorSpec,
     InvalidParameterError,
     RngSeed,
-    UndefinedEstimateError,
     apply_estimator,
     cross_entropy,
     exact_expected_kl,
@@ -31,7 +29,7 @@ def test_empirical_relative_frequencies():
 
 
 def test_empirical_undefined_for_empty_sample():
-    with pytest.raises(UndefinedEstimateError):
+    with pytest.raises(InvalidParameterError):
         apply_estimator("empirical", symbol_profile([], 3))
 
 
@@ -64,7 +62,7 @@ def test_add_beta_huge_constant_stays_finite():
 def test_add_beta_rejects_nonpositive_beta():
     for beta in (None, (0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, float("nan")),
                  (1.0, 1.0, float("inf")), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), 0.5, [1.0, 1.0, 1.0]):
-        with pytest.raises(ConfigurationError, match="three finite positive betas"):
+        with pytest.raises(InvalidParameterError, match="three finite positive betas"):
             EstimatorSpec("add-beta", "bad", beta=beta)
 
 
@@ -81,7 +79,7 @@ def test_competitive_hand_examples():
 
 
 def test_competitive_undefined_for_empty_sample():
-    with pytest.raises(UndefinedEstimateError):
+    with pytest.raises(InvalidParameterError):
         apply_estimator("competitive", symbol_profile([], 2))
 
 
@@ -154,7 +152,7 @@ def test_permutation_oracle_caps_alphabet():
 
 
 def test_permutation_oracle_impossible_sample():
-    with pytest.raises(UndefinedEstimateError):
+    with pytest.raises(InvalidParameterError):
         apply_estimator("perm-oracle", symbol_profile([1, 2], 2), [1.0, 0.0])
 
 
@@ -179,14 +177,14 @@ def test_parsed_estimators_are_values():
 
 
 def test_parse_estimator_unknown():
-    with pytest.raises(ConfigurationError, match="typo"):
+    with pytest.raises(InvalidParameterError, match="typo"):
         parse_estimator("typo")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         parse_estimator("add-beta:0")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         parse_estimator("add-beta:x")
     for text in ("inf", "nan", "-inf"):
-        with pytest.raises(ConfigurationError, match="beta must be finite and positive"):
+        with pytest.raises(InvalidParameterError, match="beta must be finite and positive"):
             parse_estimator(f"add-beta:{text}")
 
 

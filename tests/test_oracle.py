@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -184,6 +185,20 @@ def test_class_regret_equals_plain_for_equivariant_estimators():
             klass = exact_class_regret(p, name, n)
             plain = exact_expected_kl(p, name, n).expected_kl
             assert klass == pytest.approx(plain, abs=1e-10)
+
+
+def test_class_regret_walks_relabelings_for_order_reading_estimators():
+    # make_natural_estimator hashes the count vector, so it is natural (equal
+    # counts get equal mass) but scores differently on relabelings of p
+    p = [0.6, 0.3, 0.1]
+    natural = make_natural_estimator(7)
+    klass = exact_class_regret(p, natural, 3)
+    plain = exact_expected_kl(p, natural, 3).expected_kl
+    assert klass == pytest.approx(0.5086, abs=1e-4)
+    assert plain == pytest.approx(0.3106, abs=1e-4)
+    assert klass > plain + 0.1
+    relabeled = [exact_expected_kl(q, natural, 3).expected_kl for q in itertools.permutations(p)]
+    assert klass == max(relabeled)
 
 
 def test_class_regret_alphabet_cap():

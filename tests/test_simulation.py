@@ -8,7 +8,6 @@ import pytest
 import cde.simulation
 from cde import (
     CapacityError,
-    ConfigurationError,
     ExperimentConfig,
     InvalidParameterError,
     RngSeed,
@@ -32,7 +31,7 @@ from cde.simulation import (
     _simulate_cell,
 )
 
-from support import random_distribution
+from support import expected_kl_by_sequences, make_natural_estimator, random_distribution
 
 
 def test_same_seed_gives_bit_identical_record():
@@ -79,6 +78,15 @@ def test_monte_carlo_oracle_agreement_cells():
         exact = exact_expected_kl(p, name, n).expected_kl
         record = monte_carlo_regret(p, name, n, 20_000, 400 + case)
         assert abs(record.mean_kl - exact) <= max(4 * record.stderr, 1e-12)
+    # A custom callable that reads which symbols were seen: the raw-sequence
+    # sum pins the exact engine, and the band pins Monte Carlo to it. An engine
+    # that called it once per sorted profile would be off by about 176 stderr.
+    natural = make_natural_estimator(5)
+    p = random_distribution(rng, 3)
+    exact = exact_expected_kl(p, natural, 4).expected_kl
+    assert exact == pytest.approx(expected_kl_by_sequences(p, natural, 4), abs=1e-12)
+    record = monte_carlo_regret(p, natural, 4, 20_000, 403)
+    assert abs(record.mean_kl - exact) <= max(4 * record.stderr, 1e-12)
 
 
 def test_memo_cell_builds_one_profile_per_count_vector(monkeypatch):
@@ -363,13 +371,13 @@ def test_config_validation():
         distributions=("uniform",), estimators=("laplace",),
     )
     ExperimentConfig(**good)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         ExperimentConfig(**{**good, "n_grid": ()})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         ExperimentConfig(**{**good, "n_grid": (3, 3)})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         ExperimentConfig(**{**good, "n_grid": (5, 2)})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         ExperimentConfig(**{**good, "trials": 0})
 
 
@@ -378,11 +386,11 @@ def test_run_experiment_names_unknown_offenders():
         k=3, n_grid=(2,), trials=5, master_seed=0,
         distributions=("uniform",), estimators=("laplacee",),
     )
-    with pytest.raises(ConfigurationError, match="laplacee"):
+    with pytest.raises(InvalidParameterError, match="laplacee"):
         run_experiment(config)
     config = ExperimentConfig(
         k=3, n_grid=(2,), trials=5, master_seed=0,
         distributions=("unifrom",), estimators=("laplace",),
     )
-    with pytest.raises(ConfigurationError, match="unifrom"):
+    with pytest.raises(InvalidParameterError, match="unifrom"):
         run_experiment(config)
