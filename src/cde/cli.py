@@ -23,8 +23,8 @@ from .distributions import check_alphabet, parse_distribution, validate_distribu
 from .errors import CapacityError, CdeError, InvalidParameterError
 from .estimators import apply_estimator, parse_estimator
 from .oracle import exact_expected_kl
-from .profile import profile_from_counts
-from .simulation import MAX_SAMPLE_SIZE, ExperimentConfig, RegretRecord, run_experiment
+from .profile import _check_sample_size, profile_from_counts
+from .simulation import ExperimentConfig, RegretRecord, run_experiment
 
 CSV_HEADER = "distribution,estimator,k,n,trials,seed,mean_kl_nats,stderr_nats,inf_trials"
 
@@ -139,8 +139,7 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
             start, stop, count = int(start_s), int(stop_s), int(count_s)
             if count < 1:
                 raise ValueError("count must be >= 1")
-            if max(start, stop) > MAX_SAMPLE_SIZE:
-                raise CapacityError(f"bad n-grid {text!r}: sample size exceeds cap {MAX_SAMPLE_SIZE}")
+            _check_sample_size(max(start, stop))
             if count > abs(stop - start) + 1:
                 raise ValueError(f"count exceeds the {abs(stop - start) + 1} integers from start to stop")
             if count == 1:

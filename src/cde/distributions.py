@@ -38,11 +38,24 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = 2**128 - 1
 
 
-def check_alphabet(k: int) -> None:
+def whole_number(value, name: str) -> int:
+    """value as a Python int; InvalidParameterError unless it is an integer."""
+    try:
+        # admits numpy integer scalars; bool is an int subclass but never a size or seed
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
+
+
+def check_alphabet(k: int) -> int:
+    k = whole_number(k, "k")
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if k > MAX_ALPHABET:
         raise CapacityError(f"alphabet size k={k} exceeds cap {MAX_ALPHABET}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -56,12 +69,10 @@ class RngSeed:
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
             try:
-                # admits numpy integer scalars, as a Python int
-                index = operator.index(value)
-            except TypeError:
+                index = whole_number(value, name)
+            except InvalidParameterError:
                 index = -1
-            # bool is an int subclass but never meant as a seed
-            if isinstance(value, bool) or not 0 <= index <= _U64_MAX:
+            if not 0 <= index <= _U64_MAX:
                 raise InvalidParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
             object.__setattr__(self, name, index)
 

@@ -3,8 +3,8 @@
 Every estimator in this package depends on the sample only through its count
 vector, so instead of walking all k**n raw sequences the engine enumerates
 count vectors (compositions of n into k parts) and weights each one by its
-multinomial probability. The capacity cap is still expressed in raw
-sequences, which keeps the cost predictable.
+multinomial probability; the capacity cap is still expressed in raw
+sequences. exact_natural_regret is the expectation for best-natural.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import numpy as np
 
 from .distributions import validate_distribution
 from .divergence import entropy, natural_kl
-from .errors import CapacityError, InvalidParameterError
+from .errors import CapacityError
 from .estimators import PERMUTATION_ORACLE_MAX_K, resolve_estimator
-from .profile import class_totals, profile_from_counts
+from .profile import _check_sample_size, class_totals, profile_from_counts
 
 MAX_SEQUENCES = 10_000_000
 
@@ -35,8 +35,7 @@ class ExactResult:
 
 
 def _check_cap(k: int, n: int) -> None:
-    if n < 0:
-        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    _check_sample_size(n)
     # k = 1 is charged as 2 so that n stays bounded; and since 2**n exceeds
     # the cap once n reaches its bit length, that test spares the bignum power.
     base = max(k, 2)
@@ -69,17 +68,6 @@ def _count_vectors(k: int, n: int):
     return tuple(entries)
 
 
-def _reachable(p: np.ndarray, n: int):
-    """(profile, coefficient, probability) of every count vector that a
-    length-n sample from the validated p can produce."""
-    _check_cap(int(p.size), n)
-    for profile, coefficient in _count_vectors(int(p.size), n):
-        # a symbol of probability 0 seen at least once zeroes the product
-        weight = coefficient * float((p**profile.counts).prod())
-        if weight != 0.0:
-            yield profile, coefficient, weight
-
-
 def exact_expected_kl(p, estimator, n: int) -> ExactResult:
     """Exact E[KL(p, estimate)] over all length-n samples drawn from p.
 
@@ -92,7 +80,12 @@ def exact_expected_kl(p, estimator, n: int) -> ExactResult:
     total = 0.0
     sequences = 0
     mass = 0.0
-    for profile, coefficient, weight in _reachable(p, n):
+    _check_cap(int(p.size), n)
+    for profile, coefficient in _count_vectors(int(p.size), n):
+        # a symbol of probability 0 seen at least once zeroes the product
+        weight = coefficient * float((p**profile.counts).prod())
+        if weight == 0.0:
+            continue
         loss = natural_kl(class_totals(p, profile), estimator(profile, p), h)
         sequences += coefficient
         mass += weight
@@ -101,21 +94,9 @@ def exact_expected_kl(p, estimator, n: int) -> ExactResult:
 
 
 def exact_natural_regret(p, n: int) -> float:
-    """Exact expected loss of the best natural estimator built from p.
-
-    Equals E[sum_t S_t ln(phi[t]/S_t)] - H(p); the subtraction can round a
-    hair below zero, so the result is clamped at 0.
-    """
-    p = validate_distribution(p)
-    accumulated = 0.0
-    for profile, _, weight in _reachable(p, n):
-        class_mass = class_totals(p, profile)
-        positive = class_mass > 0.0
-        inner = float(
-            np.sum(class_mass[positive] * np.log(profile.phi[positive] / class_mass[positive]))
-        )
-        accumulated += weight * inner
-    return max(accumulated - entropy(p), 0.0)
+    """Exact expected loss of best-natural, the natural estimator that knows p:
+    the floor that no natural estimator beats at (p, n)."""
+    return exact_expected_kl(p, "best-natural", n).expected_kl
 
 
 def exact_class_regret(p, estimator, n: int) -> float:

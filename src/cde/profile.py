@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .distributions import whole_number
+from .errors import CapacityError, InvalidParameterError
+
+# Largest sample size or count an entry point accepts: n uniforms, or a
+# bincount up to the largest count, are then 80 MB, and more must fail first.
+MAX_SAMPLE_SIZE = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -33,18 +38,32 @@ class SampleProfile:
     phi: np.ndarray
 
 
+def _check_sample_size(n: int) -> int:
+    n = whole_number(n, "n")
+    if n < 0:
+        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    if n > MAX_SAMPLE_SIZE:
+        raise CapacityError(f"sample size n={n} exceeds cap {MAX_SAMPLE_SIZE}")
+    return n
+
+
 def profile_from_counts(counts) -> SampleProfile:
-    """Build a profile directly from a per-symbol count vector."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or counts.size < 1:
-        raise InvalidParameterError("counts must be a nonempty 1-d vector")
-    if np.any(counts < 0):
+    """Build a profile directly from a per-symbol count vector of whole
+    numbers; their sum, and so each count, may not exceed MAX_SAMPLE_SIZE."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.size < 1 or counts.dtype.kind not in "iu":
+        raise InvalidParameterError("counts must be a nonempty 1-d vector of whole numbers")
+    if counts.min() < 0:
         raise InvalidParameterError("counts must be nonnegative")
+    # the largest count goes first, so that the int64 sum cannot wrap
+    _check_sample_size(int(counts.max()))
+    n = _check_sample_size(int(counts.sum()))
+    counts = counts.astype(np.int64, copy=False)
     occurrences = np.bincount(counts)
     ts = np.flatnonzero(occurrences)
     return SampleProfile(
         k=int(counts.size),
-        n=int(counts.sum()),
+        n=n,
         counts=counts,
         ts=ts,
         phi=occurrences[ts],

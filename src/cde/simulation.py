@@ -28,11 +28,12 @@ from .distributions import (
     parse_distribution,
     stream_states,
     validate_distribution,
+    whole_number,
 )
 from .divergence import entropy, natural_kl
 from .errors import CapacityError, InvalidParameterError
 from .estimators import EstimatorSpec, parse_estimator, resolve_estimator
-from .profile import class_totals, profile_from_counts
+from .profile import _check_sample_size, class_totals, profile_from_counts
 
 # Stream reserved for the single prior draw when redraw_prior_per_trial is
 # off; trial streams use indices 0..trials-1.
@@ -44,10 +45,6 @@ _MEMO_MAX_COUNT_VECTORS = 10_000
 # Largest trials per cell an entry point accepts: a cell's losses are then
 # 80 MB per estimator, and a larger count must fail before they exist.
 MAX_TRIALS = 10_000_000
-
-# Largest sample size an entry point accepts: one trial's n uniforms are then
-# 80 MB, and a larger n must fail before they exist.
-MAX_SAMPLE_SIZE = 10_000_000
 
 # Trial streams are derived this many at a time, so the table of stream
 # states stays small whatever the trial count.
@@ -67,13 +64,11 @@ class ExperimentConfig:
     redraw_prior_per_trial: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "k", check_alphabet(self.k))
+        object.__setattr__(self, "trials", _check_trials(self.trials))
+        object.__setattr__(self, "n_grid", tuple(_check_sample_size(n) for n in self.n_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        check_alphabet(self.k)
-        _check_trials(self.trials)
-        for n in self.n_grid:
-            _check_sample_size(n)
         object.__setattr__(self, "master_seed", RngSeed(self.master_seed).seed)
         if not self.n_grid:
             raise InvalidParameterError("n_grid must be nonempty")
@@ -110,8 +105,8 @@ def monte_carlo_regret(
     p = validate_distribution(p)
     resolved = resolve_estimator(estimator)
     name = resolved.name if isinstance(resolved, EstimatorSpec) else getattr(estimator, "__name__", "custom")
-    _check_trials(trials)
-    _check_sample_size(n)
+    trials = _check_trials(trials)
+    n = _check_sample_size(n)
     master_seed = RngSeed(master_seed).seed
     losses = _simulate_cell(
         fixed_p=p,
@@ -172,18 +167,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RegretRec
     ]
 
 
-def _check_trials(trials: int) -> None:
+def _check_trials(trials: int) -> int:
+    trials = whole_number(trials, "trials")
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise CapacityError(f"trials={trials} exceeds cap {MAX_TRIALS}")
-
-
-def _check_sample_size(n: int) -> None:
-    if n < 0:
-        raise InvalidParameterError(f"n must be >= 0, got {n}")
-    if n > MAX_SAMPLE_SIZE:
-        raise CapacityError(f"sample size n={n} exceeds cap {MAX_SAMPLE_SIZE}")
+    return trials
 
 
 def _simulate_cell(

@@ -66,6 +66,30 @@ def expected_kl_by_sequences(p, estimator, n: int) -> float:
     return total
 
 
+def natural_regret_by_sequences(p, n: int) -> float:
+    """Expected loss of the natural oracle by enumerating all k**n raw sequences.
+
+    The oracle gives each symbol seen t times the mass S_t / phi_t, so its
+    loss on a sequence is sum_t S_t ln(phi_t / S_t) - H(p). Independent of
+    cde: counts, classes and masses are grouped here by hand.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    k = int(p.size)
+    entropy = -sum(float(x) * math.log(x) for x in p if x > 0.0)
+    total = 0.0
+    for seq in itertools.product(range(k), repeat=n):
+        weight = math.prod(float(p[s]) for s in seq)
+        if weight == 0.0:
+            continue
+        classes = {}  # count t -> [S_t, phi_t]
+        for symbol in range(k):
+            entry = classes.setdefault(seq.count(symbol), [0.0, 0])
+            entry[0] += float(p[symbol])
+            entry[1] += 1
+        total += weight * sum(s * math.log(phi / s) for s, phi in classes.values() if s > 0.0)
+    return total - entropy
+
+
 def expected_kl_add_constant(p, beta: float, n: int) -> float:
     """E[KL(p, estimate)] in closed form for add-beta with a constant beta.
 

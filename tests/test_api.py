@@ -3,6 +3,9 @@ import io
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cde
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -67,3 +70,39 @@ def test_readme_quickstart_runs():
     with contextlib.redirect_stdout(printed):
         exec(compile(block, str(README), "exec"), {})
     assert len(printed.getvalue().splitlines()) == 4
+
+
+def _config(**changes):
+    fields = dict(k=4, n_grid=(2,), trials=3, master_seed=0, distributions=("uniform",), estimators=("laplace",))
+    return cde.ExperimentConfig(**{**fields, **changes})
+
+
+_P = [0.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("n", lambda: _config(n_grid=(1.5,)), id="config-n"),
+        pytest.param("k", lambda: _config(k=4.5), id="config-k"),
+        pytest.param("k", lambda: _config(k=True), id="config-k-bool"),
+        pytest.param("trials", lambda: _config(trials=2.0), id="config-trials"),
+        pytest.param("k", lambda: cde.uniform(4.5), id="uniform-k"),
+        pytest.param("n", lambda: cde.exact_expected_kl(_P, "laplace", 2.0), id="exact-n"),
+        pytest.param("n", lambda: cde.exact_natural_regret(_P, 2.5), id="natural-regret-n"),
+        pytest.param("n", lambda: cde.exact_class_regret(_P, "laplace", True), id="class-regret-n-bool"),
+        pytest.param("n", lambda: cde.monte_carlo_regret(_P, "laplace", 2.5, 10, 0), id="monte-carlo-n"),
+        pytest.param("trials", lambda: cde.monte_carlo_regret(_P, "laplace", 2, 1.5, 0), id="monte-carlo-trials"),
+        pytest.param("trials", lambda: cde.monte_carlo_regret(_P, "laplace", 2, "10", 0), id="monte-carlo-trials-str"),
+    ],
+)
+def test_sizes_must_be_whole_numbers(name, call):
+    with pytest.raises(cde.InvalidParameterError, match=f"^{name} must be a whole number"):
+        call()
+
+
+def test_numpy_integer_sizes_are_stored_as_python_ints():
+    config = _config(k=np.int64(4), n_grid=(np.int32(2), np.uint8(3)), trials=np.int64(3))
+    assert [type(v) for v in (config.k, config.trials, *config.n_grid)] == [int] * 4
+    record = cde.monte_carlo_regret(_P, "laplace", np.int64(2), np.int16(3), 0)
+    assert type(record.n) is int and type(record.trials) is int

@@ -19,6 +19,7 @@ from support import (
     expected_kl_add_constant,
     expected_kl_by_sequences,
     make_natural_estimator,
+    natural_regret_by_sequences,
     random_distribution,
 )
 
@@ -149,9 +150,9 @@ def test_best_natural_matches_natural_regret_spot():
     for k in (2, 3, 4):
         for n in (1, 2, 3, 4):
             p = random_distribution(rng, k)
-            a = exact_expected_kl(p, "best-natural", n).expected_kl
-            b = exact_natural_regret(p, n)
-            assert a == pytest.approx(b, abs=1e-10)
+            value = exact_natural_regret(p, n)
+            assert value == exact_expected_kl(p, "best-natural", n).expected_kl
+            assert value == pytest.approx(natural_regret_by_sequences(p, n), abs=1e-12)
 
 
 def test_natural_estimators_cannot_beat_natural_regret_spot():

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cde import InvalidParameterError, RngSeed, class_totals, profile_from_counts
+from cde import CapacityError, InvalidParameterError, RngSeed, class_totals, profile_from_counts
+from cde.profile import MAX_SAMPLE_SIZE
 
 from support import random_distribution, sampled_profile, symbol_profile
 
@@ -41,6 +47,23 @@ def test_phi_lookup_missing_counts():
 def test_profile_from_counts_rejects_negative():
     with pytest.raises(InvalidParameterError):
         profile_from_counts([1, -1])
+    # a count that is not a whole number is not silently truncated
+    with pytest.raises(InvalidParameterError, match="whole numbers"):
+        profile_from_counts([1.5, 2])
+    # the bincount over the largest count must not be attempted: 2**62 was
+    # numpy's bare "array is too big", 10**12 a MemoryError for 7.28 TiB
+    for counts in ([3, 2**62], [10**12], [2**64 - 1], [MAX_SAMPLE_SIZE, 1]):
+        with pytest.raises(CapacityError):
+            profile_from_counts(counts)
+    # bincount's length 2**63 overflows and numpy aborts the whole process,
+    # so this case runs in a child
+    child = "import cde\ntry:\n    cde.profile_from_counts([2**63 - 1])\nexcept cde.CapacityError:\n    print('rejected')"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout) == (0, "rejected\n"), result.stderr
 
 
 def test_combined_mass_examples():

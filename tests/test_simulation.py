@@ -22,10 +22,10 @@ from cde import (
     validate_distribution,
 )
 from cde.distributions import draw_counts
+from cde.profile import MAX_SAMPLE_SIZE
 from cde.simulation import (
     _STREAM_BLOCK,
     FIXED_PRIOR_STREAM,
-    MAX_SAMPLE_SIZE,
     MAX_TRIALS,
     _evaluate,
     _simulate_cell,
