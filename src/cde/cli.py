@@ -19,11 +19,11 @@ import tempfile
 
 import numpy as np
 
-from .distributions import check_alphabet, parse_distribution, validate_distribution
+from .distributions import check_size, parse_distribution, validate_distribution
 from .errors import CapacityError, CdeError, InvalidParameterError
 from .estimators import apply_estimator, parse_estimator
 from .oracle import exact_expected_kl
-from .profile import _check_sample_size, profile_from_counts
+from .profile import profile_from_counts
 from .simulation import ExperimentConfig, RegretRecord, run_experiment
 
 CSV_HEADER = "distribution,estimator,k,n,trials,seed,mean_kl_nats,stderr_nats,inf_trials"
@@ -107,7 +107,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    check_alphabet(args.k)
+    check_size(args.k, "k")
     spec = parse_estimator(args.estimator)
     profile = profile_from_counts(_read_counts(args.sample, args.k))
     p = None
@@ -122,7 +122,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    check_alphabet(args.k)
+    check_size(args.k, "k")
     spec = parse_estimator(args.estimator)
     p = _resolve_true_p(args)
     result = exact_expected_kl(p, spec, args.n)
@@ -139,7 +139,7 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
             start, stop, count = int(start_s), int(stop_s), int(count_s)
             if count < 1:
                 raise ValueError("count must be >= 1")
-            _check_sample_size(max(start, stop))
+            check_size(max(start, stop), "n")
             if count > abs(stop - start) + 1:
                 raise ValueError(f"count exceeds the {abs(stop - start) + 1} integers from start to stop")
             if count == 1:

@@ -19,9 +19,15 @@ from .errors import CapacityError, InvalidParameterError
 
 SUM_TOLERANCE = 1e-9
 _U64_MAX = 2**64 - 1
-# Largest alphabet an entry point accepts: one k-sized float64 vector is
-# then 80 MB, and a larger k must fail before anything of size k exists.
+# Caps on k, n and trials: a k-vector, n uniforms or a cell's losses per estimator are then 80 MB.
 MAX_ALPHABET = 10_000_000
+MAX_SAMPLE_SIZE = 10_000_000
+MAX_TRIALS = 10_000_000
+_SIZES = {
+    "k": (1, "MAX_ALPHABET", "alphabet size k"),
+    "n": (0, "MAX_SAMPLE_SIZE", "sample size n"),
+    "trials": (1, "MAX_TRIALS", "trials"),
+}
 # Attempts at a Dirichlet draw before it gives up; only a tiny alpha makes
 # every Gamma draw of an attempt underflow to 0. A draw that succeeds within
 # the bound consumes its stream exactly as unbounded retries would.
@@ -49,13 +55,16 @@ def whole_number(value, name: str) -> int:
     raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
 
 
-def check_alphabet(k: int) -> int:
-    k = whole_number(k, "k")
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if k > MAX_ALPHABET:
-        raise CapacityError(f"alphabet size k={k} exceeds cap {MAX_ALPHABET}")
-    return k
+def check_size(value, name: str) -> int:
+    """k, n or trials as a Python int; InvalidParameterError below its floor, CapacityError above its cap."""
+    value = whole_number(value, name)
+    floor, cap_name, label = _SIZES[name]
+    if value < floor:
+        raise InvalidParameterError(f"{name} must be >= {floor}, got {value}")
+    cap = globals()[cap_name]  # read at each call, so a lowered cap takes effect
+    if value > cap:
+        raise CapacityError(f"{label}={value} exceeds cap {cap}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -174,13 +183,13 @@ def validate_distribution(probs) -> np.ndarray:
 
 def uniform(k: int) -> np.ndarray:
     """Uniform distribution over [1..k]."""
-    check_alphabet(k)
+    check_size(k, "k")
     return np.full(k, 1.0 / k)
 
 
 def step(k: int) -> np.ndarray:
     """Two-level distribution: first half of the symbols at 1/2k, second half at 3/2k."""
-    check_alphabet(k)
+    check_size(k, "k")
     if k < 2 or k % 2 != 0:
         raise InvalidParameterError(f"step distribution needs an even k >= 2, got {k}")
     p = np.empty(k)
@@ -191,7 +200,7 @@ def step(k: int) -> np.ndarray:
 
 def zipf(k: int, s: float) -> np.ndarray:
     """Power-law distribution p(i) proportional to i**(-s)."""
-    check_alphabet(k)
+    check_size(k, "k")
     if not s > 0:
         raise InvalidParameterError(f"exponent must be positive, got {s}")
     ranks = np.arange(1, k + 1, dtype=np.float64)
@@ -201,7 +210,7 @@ def zipf(k: int, s: float) -> np.ndarray:
 
 def sample_dirichlet(k: int, alpha: float, rng) -> np.ndarray:
     """One draw from the symmetric Dirichlet(alpha) prior, via normalized Gamma draws."""
-    check_alphabet(k)
+    check_size(k, "k")
     if not alpha > 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
     gen = _as_generator(rng)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -23,8 +24,17 @@ from .distributions import parse_parameter, validate_distribution
 from .errors import CapacityError, InvalidParameterError
 from .profile import SampleProfile, class_totals
 
-# caps every k! walk over relabelings of p, here and in oracle.exact_class_regret
 PERMUTATION_ORACLE_MAX_K = 6
+
+
+@lru_cache(maxsize=PERMUTATION_ORACLE_MAX_K)
+def _relabelings(k: int) -> np.ndarray:
+    """Read-only (k!, k) table of the permutations of range(k) in lexicographic order, under the k! cap."""
+    if k > PERMUTATION_ORACLE_MAX_K:
+        raise CapacityError(f"enumerating k! relabelings of p; k={k} exceeds cap {PERMUTATION_ORACLE_MAX_K}")
+    table = np.array(list(permutations(range(k))))
+    table.flags.writeable = False
+    return table
 
 
 def _empirical(spec, profile: SampleProfile, p) -> np.ndarray:
@@ -87,12 +97,7 @@ def _permutation_oracle(spec, profile: SampleProfile, p) -> np.ndarray:
     The likelihoods are compared in log space, so a large n cannot
     underflow them all to 0. Exact k! enumeration, so k is capped.
     """
-    k = p.size
-    if k > PERMUTATION_ORACLE_MAX_K:
-        raise CapacityError(
-            f"permutation oracle enumerates k! relabelings; k={k} exceeds cap {PERMUTATION_ORACLE_MAX_K}"
-        )
-    relabeled = p[np.array(list(permutations(range(k))))]
+    relabeled = p[_relabelings(p.size)]
     seen = profile.counts > 0
     with np.errstate(divide="ignore"):  # ln 0 = -inf rules out a relabeling
         log_weight = np.log(relabeled[:, seen]) @ profile.counts[seen]

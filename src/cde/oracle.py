@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
-from .distributions import validate_distribution
+from .distributions import check_size, validate_distribution
 from .divergence import entropy, natural_kl
 from .errors import CapacityError
-from .estimators import PERMUTATION_ORACLE_MAX_K, resolve_estimator
-from .profile import _check_sample_size, class_totals, profile_from_counts
+from .estimators import _relabelings, resolve_estimator
+from .profile import class_totals, profile_from_counts
 
 MAX_SEQUENCES = 10_000_000
 
@@ -35,7 +35,7 @@ class ExactResult:
 
 
 def _check_cap(k: int, n: int) -> None:
-    _check_sample_size(n)
+    check_size(n, "n")
     # k = 1 is charged as 2 so that n stays bounded; and since 2**n exceeds
     # the cap once n reaches its bit length, that test spares the bignum power.
     base = max(k, 2)
@@ -102,16 +102,10 @@ def exact_natural_regret(p, n: int) -> float:
 def exact_class_regret(p, estimator, n: int) -> float:
     """Worst exact expected KL over all distinct relabelings of p.
 
-    The walk matters only for a custom callable that reads which symbols were
-    seen: every named estimator scores the same on each relabeling, so for
-    those it returns exact_expected_kl(p, estimator, n).expected_kl.
-    """
+    Only a callable that reads which symbols were seen can tell them apart; the
+    walk still runs for a named one and gives exact_expected_kl up to rounding."""
     p = validate_distribution(p)
-    if p.size > PERMUTATION_ORACLE_MAX_K:
-        raise CapacityError(
-            f"class regret enumerates k! relabelings; k={p.size} exceeds cap {PERMUTATION_ORACLE_MAX_K}"
-        )
-    relabelings = sorted(set(permutations(p.tolist())))
+    distinct = sorted(set(map(tuple, p[_relabelings(p.size)].tolist())))
     return max(
-        exact_expected_kl(np.array(q), estimator, n).expected_kl for q in relabelings
+        exact_expected_kl(np.array(q), estimator, n).expected_kl for q in distinct
     )

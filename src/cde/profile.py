@@ -10,16 +10,13 @@ vector, and profile_from_counts is the one way to profile it.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import whole_number
-from .errors import CapacityError, InvalidParameterError
-
-# Largest sample size or count an entry point accepts: n uniforms, or a
-# bincount up to the largest count, are then 80 MB, and more must fail first.
-MAX_SAMPLE_SIZE = 10_000_000
+from .distributions import check_size, whole_number
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -38,26 +35,23 @@ class SampleProfile:
     phi: np.ndarray
 
 
-def _check_sample_size(n: int) -> int:
-    n = whole_number(n, "n")
-    if n < 0:
-        raise InvalidParameterError(f"n must be >= 0, got {n}")
-    if n > MAX_SAMPLE_SIZE:
-        raise CapacityError(f"sample size n={n} exceeds cap {MAX_SAMPLE_SIZE}")
-    return n
-
-
 def profile_from_counts(counts) -> SampleProfile:
-    """Build a profile directly from a per-symbol count vector of whole
-    numbers; their sum, and so each count, may not exceed MAX_SAMPLE_SIZE."""
+    """Build a profile from a per-symbol count vector of whole numbers, whatever
+    its dtype; their sum may not exceed distributions.MAX_SAMPLE_SIZE."""
     counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.size < 1 or counts.dtype.kind not in "iu":
+    kind = counts.dtype.kind
+    if kind == "O" and counts.ndim == 1:  # numpy keeps entries beyond int64 as objects
+        with suppress(InvalidParameterError):
+            for count in counts:
+                whole_number(count, "count")
+            kind = "i"
+    if counts.ndim != 1 or counts.size < 1 or kind not in "iu":
         raise InvalidParameterError("counts must be a nonempty 1-d vector of whole numbers")
     if counts.min() < 0:
         raise InvalidParameterError("counts must be nonnegative")
     # the largest count goes first, so that the int64 sum cannot wrap
-    _check_sample_size(int(counts.max()))
-    n = _check_sample_size(int(counts.sum()))
+    check_size(int(counts.max()), "n")
+    n = check_size(int(counts.sum()), "n")
     counts = counts.astype(np.int64, copy=False)
     occurrences = np.bincount(counts)
     ts = np.flatnonzero(occurrences)

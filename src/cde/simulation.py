@@ -21,19 +21,18 @@ import numpy as np
 from .distributions import (
     DistributionSpec,
     RngSeed,
-    check_alphabet,
+    check_size,
     draw_counts,
     load_stream,
     make_generator,
     parse_distribution,
     stream_states,
     validate_distribution,
-    whole_number,
 )
 from .divergence import entropy, natural_kl
-from .errors import CapacityError, InvalidParameterError
+from .errors import InvalidParameterError
 from .estimators import EstimatorSpec, parse_estimator, resolve_estimator
-from .profile import _check_sample_size, class_totals, profile_from_counts
+from .profile import class_totals, profile_from_counts
 
 # Stream reserved for the single prior draw when redraw_prior_per_trial is
 # off; trial streams use indices 0..trials-1.
@@ -41,10 +40,6 @@ FIXED_PRIOR_STREAM = 2**64 - 1
 
 # Cells whose sample is this compressible get a count-vector KL cache.
 _MEMO_MAX_COUNT_VECTORS = 10_000
-
-# Largest trials per cell an entry point accepts: a cell's losses are then
-# 80 MB per estimator, and a larger count must fail before they exist.
-MAX_TRIALS = 10_000_000
 
 # Trial streams are derived this many at a time, so the table of stream
 # states stays small whatever the trial count.
@@ -64,9 +59,9 @@ class ExperimentConfig:
     redraw_prior_per_trial: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "k", check_alphabet(self.k))
-        object.__setattr__(self, "trials", _check_trials(self.trials))
-        object.__setattr__(self, "n_grid", tuple(_check_sample_size(n) for n in self.n_grid))
+        object.__setattr__(self, "k", check_size(self.k, "k"))
+        object.__setattr__(self, "trials", check_size(self.trials, "trials"))
+        object.__setattr__(self, "n_grid", tuple(check_size(n, "n") for n in self.n_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "master_seed", RngSeed(self.master_seed).seed)
@@ -105,8 +100,8 @@ def monte_carlo_regret(
     p = validate_distribution(p)
     resolved = resolve_estimator(estimator)
     name = resolved.name if isinstance(resolved, EstimatorSpec) else getattr(estimator, "__name__", "custom")
-    trials = _check_trials(trials)
-    n = _check_sample_size(n)
+    trials = check_size(trials, "trials")
+    n = check_size(n, "n")
     master_seed = RngSeed(master_seed).seed
     losses = _simulate_cell(
         fixed_p=p,
@@ -165,15 +160,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RegretRec
         for e in config.estimators
         for n in config.n_grid
     ]
-
-
-def _check_trials(trials: int) -> int:
-    trials = whole_number(trials, "trials")
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise CapacityError(f"trials={trials} exceeds cap {MAX_TRIALS}")
-    return trials
 
 
 def _simulate_cell(

@@ -70,21 +70,25 @@ def natural_regret_by_sequences(p, n: int) -> float:
     """Expected loss of the natural oracle by enumerating all k**n raw sequences.
 
     The oracle gives each symbol seen t times the mass S_t / phi_t, so its
-    loss on a sequence is sum_t S_t ln(phi_t / S_t) - H(p). Independent of
-    cde: counts, classes and masses are grouped here by hand.
+    loss on a sequence is sum_t S_t ln(phi_t / S_t) - H(p), which depends on
+    the sequence only through its counts. Independent of cde: sequences are
+    grouped by their counts, and counts, classes and masses by hand.
     """
-    p = np.asarray(p, dtype=np.float64)
-    k = int(p.size)
-    entropy = -sum(float(x) * math.log(x) for x in p if x > 0.0)
-    total = 0.0
+    p = np.asarray(p, dtype=np.float64).tolist()
+    k = len(p)
+    entropy = -sum(x * math.log(x) for x in p if x > 0.0)
+    by_counts = {}  # count vector -> probability of its raw sequences
     for seq in itertools.product(range(k), repeat=n):
-        weight = math.prod(float(p[s]) for s in seq)
+        counts = tuple(map(seq.count, range(k)))
+        by_counts[counts] = by_counts.get(counts, 0.0) + math.prod(p[s] for s in seq)
+    total = 0.0
+    for counts, weight in by_counts.items():
         if weight == 0.0:
             continue
         classes = {}  # count t -> [S_t, phi_t]
-        for symbol in range(k):
-            entry = classes.setdefault(seq.count(symbol), [0.0, 0])
-            entry[0] += float(p[symbol])
+        for symbol, t in enumerate(counts):
+            entry = classes.setdefault(t, [0.0, 0])
+            entry[0] += p[symbol]
             entry[1] += 1
         total += weight * sum(s * math.log(phi / s) for s, phi in classes.values() if s > 0.0)
     return total - entropy

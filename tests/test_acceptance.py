@@ -15,7 +15,13 @@ import cde
 from cde.cli import parse_n_grid
 
 import _invariant_suite as suite
-from support import expected_kl_add_constant, make_natural_estimator, random_distribution, sampled_profile
+from support import (
+    expected_kl_add_constant,
+    make_natural_estimator,
+    natural_regret_by_sequences,
+    random_distribution,
+    sampled_profile,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -32,14 +38,17 @@ def test_criterion_1_exact_identity_suite():
     rng = np.random.default_rng(1001)
     distributions = 0
     natural_rivals = 0
+    largest_gap = 0.0
     for index in range(51):
         k = (2, 3, 4)[index % 3]
         p = random_distribution(rng, k)
         distributions += 1
         for n in range(1, 7):
+            # the floor against an independent sum over all k**n raw sequences
             floor = cde.exact_natural_regret(p, n)
-            best = cde.exact_expected_kl(p, "best-natural", n).expected_kl
-            assert abs(best - floor) <= 1e-10, (k, n, best, floor)
+            gap = abs(floor - natural_regret_by_sequences(p, n))
+            assert gap <= 1e-12, (k, n, floor, gap)
+            largest_gap = max(largest_gap, gap)
             for tag in range(20):
                 rival = make_natural_estimator(index * 100 + tag)
                 value = cde.exact_expected_kl(p, rival, n).expected_kl
@@ -56,7 +65,8 @@ def test_criterion_1_exact_identity_suite():
     _report(
         "criterion 1 (exact identity suite)",
         elapsed < 60.0,
-        f"{distributions} distributions x n=1..6, {natural_rivals} rival checks, {elapsed:.1f}s",
+        f"{distributions} distributions x n=1..6, {natural_rivals} rival checks, "
+        f"largest floor gap {largest_gap:.1e}, {elapsed:.1f}s",
     )
 
 

@@ -13,14 +13,12 @@ import pytest
 
 import cde
 import cde.cli
+import cde.distributions
 import cde.oracle
-import cde.profile
 import cde.simulation
 from cde import CapacityError, DistributionSpec, ExperimentConfig, InvalidParameterError, run_experiment
 from cde.cli import CSV_HEADER, main, parse_n_grid, _fmt12, _workers_from_env
-from cde.distributions import MAX_ALPHABET
-from cde.profile import MAX_SAMPLE_SIZE
-from cde.simulation import MAX_TRIALS
+from cde.distributions import MAX_ALPHABET, MAX_SAMPLE_SIZE, MAX_TRIALS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -310,7 +308,7 @@ def test_python_m_cde_reports_non_utf8_sample_without_traceback(tmp_path):
 def test_estimate_sample_above_the_size_cap_exits_4(tmp_path, capsys, monkeypatch):
     # a profile's bincount spans the largest count, so a sample file longer
     # than the cap fails as simulate does for such an n
-    monkeypatch.setattr(cde.profile, "MAX_SAMPLE_SIZE", 3)
+    monkeypatch.setattr(cde.distributions, "MAX_SAMPLE_SIZE", 3)
     sample = tmp_path / "s.txt"
     sample.write_text("1\n2\n1\n")
     argv = ["estimate", "--estimator", "laplace", "--k", "2", "--sample", str(sample)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cde import CapacityError, InvalidParameterError, RngSeed, class_totals, profile_from_counts
-from cde.profile import MAX_SAMPLE_SIZE
+from cde.distributions import MAX_SAMPLE_SIZE
 
 from support import random_distribution, sampled_profile, symbol_profile
 
@@ -45,14 +45,18 @@ def test_phi_lookup_missing_counts():
 
 
 def test_profile_from_counts_rejects_negative():
-    with pytest.raises(InvalidParameterError):
-        profile_from_counts([1, -1])
-    # a count that is not a whole number is not silently truncated
-    with pytest.raises(InvalidParameterError, match="whole numbers"):
-        profile_from_counts([1.5, 2])
+    for counts in ([1, -1], [-1, 2**70]):
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            profile_from_counts(counts)
+    # a count that is not a whole number is not silently truncated; entries
+    # beyond int64 make numpy store the vector as objects
+    for counts in ([1.5, 2], [2**70, 1.5], [1, None]):
+        with pytest.raises(InvalidParameterError, match="whole numbers"):
+            profile_from_counts(counts)
     # the bincount over the largest count must not be attempted: 2**62 was
-    # numpy's bare "array is too big", 10**12 a MemoryError for 7.28 TiB
-    for counts in ([3, 2**62], [10**12], [2**64 - 1], [MAX_SAMPLE_SIZE, 1]):
+    # numpy's bare "array is too big", 10**12 a MemoryError for 7.28 TiB; a
+    # whole number above the cap is over capacity whatever its dtype
+    for counts in ([3, 2**62], [10**12], [2**64 - 1], [MAX_SAMPLE_SIZE, 1], [2**70], [3, 2**70]):
         with pytest.raises(CapacityError):
             profile_from_counts(counts)
     # bincount's length 2**63 overflows and numpy aborts the whole process,

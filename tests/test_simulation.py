@@ -21,12 +21,10 @@ from cde import (
     uniform,
     validate_distribution,
 )
-from cde.distributions import draw_counts
-from cde.profile import MAX_SAMPLE_SIZE
+from cde.distributions import MAX_SAMPLE_SIZE, MAX_TRIALS, draw_counts
 from cde.simulation import (
     _STREAM_BLOCK,
     FIXED_PRIOR_STREAM,
-    MAX_TRIALS,
     _evaluate,
     _simulate_cell,
 )
